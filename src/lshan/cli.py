@@ -44,6 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the subcommand handler's repr holds a per-process address
+    args = {key: value for key, value in args.items() if key != "func"}
     manifest = {"command": command, "version": __version__, "args": args}
     (out_dir / f"run_{command}.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",

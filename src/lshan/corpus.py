@@ -183,41 +183,6 @@ def build_vocabulary(sentences: list[list[str]]) -> Vocabulary:
     return Vocabulary(tuple(words))
 
 
-def encode_one_hot(word_index: int, vocab: Vocabulary) -> np.ndarray:
-    if not 0 <= word_index < vocab.size:
-        raise CorpusError(
-            f"word index {word_index} out of range [0, {vocab.size})")
-    vec = np.zeros(vocab.size, dtype=np.float64)
-    vec[word_index] = 1.0
-    return vec
-
-
-def window_clips(frames: np.ndarray, clip_len: int,
-                 overlap_fraction: float) -> ClipFeatureSequence:
-    """Mean-pool overlapping fixed-length frame windows into clip vectors.
-
-    Windows start at stride ``clip_len * (1 - overlap_fraction)`` rounded down
-    (minimum 1); a final window anchored at ``T - clip_len`` is appended when
-    the stride rule does not already reach it.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise CorpusError("frame matrix must be 2-D")
-    total = frames.shape[0]
-    if clip_len < 1:
-        raise CorpusError("clip length must be positive")
-    if total < clip_len:
-        raise CorpusError(f"{total} frames < clip length {clip_len}")
-    if not 0 <= overlap_fraction < 1:
-        raise CorpusError("overlap fraction must lie in [0, 1)")
-    stride = max(1, int(clip_len * (1.0 - overlap_fraction)))
-    starts = list(range(0, total - clip_len + 1, stride))
-    if starts[-1] != total - clip_len:
-        starts.append(total - clip_len)
-    pooled = np.stack([frames[s:s + clip_len].mean(axis=0) for s in starts])
-    return ClipFeatureSequence(pooled)
-
-
 def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> Dataset:
     """Prototype-per-word clips with Gaussian noise; deterministic given seed.
 

@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import han as han_mod
 from . import latent_space as ls_mod
 from . import trainer as trainer_mod
 from .corpus import Dataset, Sentence
-from .han import HanParams, SegmentationStrategy
+from .han import Parameters, SegmentationStrategy
 from .latent_space import LatentSpaceParams
 
 
@@ -108,7 +107,7 @@ class EvalReport:
                                  f"{r.accuracy:.6f}"])
 
 
-def evaluate(ls: LatentSpaceParams, han: HanParams, dataset: Dataset,
+def evaluate(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
              strategy: SegmentationStrategy = han_mod.DEFAULT_STRATEGY,
              max_len: int = 30) -> EvalReport:
     """Greedy-decode every instance and aggregate sentence accuracies."""
@@ -157,7 +156,7 @@ class ProbeReport:
                                      f"{d:.6f}"])
 
 
-def consistency_probe(ls: LatentSpaceParams, han: HanParams, dataset: Dataset,
+def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
                       k: int = 5, sample_count: int = 10, seed: int = 0,
                       strategy: SegmentationStrategy = han_mod.DEFAULT_STRATEGY,
                       max_len: int = 30) -> ProbeReport:
@@ -169,6 +168,8 @@ def consistency_probe(ls: LatentSpaceParams, han: HanParams, dataset: Dataset,
     distance. Videos yielding fewer than two distinct scoreable hypotheses, or
     tied values that leave the correlation undefined, are skipped and counted.
     """
+    from scipy.stats import spearmanr  # slow to import; only the probe needs it
+
     if k < 2:
         raise ValueError("probe needs k >= 2")
     rng = np.random.default_rng(seed)

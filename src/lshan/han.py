@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,124 +91,97 @@ def segment_clips(n: int, strategy: SegmentationStrategy
 # parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RecurrentCellParams:
-    """Gated recurrent cell weights; gate row order is input, forget, output, candidate."""
+def param_layout(d_s: int, d_c: int, d_w: int, q: int, q_att: int
+                 ) -> list[tuple[str, tuple[int, ...]]]:
+    """Every trained array as ``(name, shape)``, in checkpoint and gradient order.
 
-    w: np.ndarray  # (4q, p) input weights
-    u: np.ndarray  # (4q, q) recurrent weights
-    b: np.ndarray  # (4q,)
+    The latent projections come first, then the HAN. A recurrent cell is
+    ``w`` (4q, input), ``u`` (4q, q) and ``b`` (4q,), with gate rows ordered
+    input, forget, output, candidate; an attention pool over 2q-dim states is
+    a score projection, its bias and a context query.
+    """
+    def cell(name, p):
+        return [(f"{name}.w", (4 * q, p)), (f"{name}.u", (4 * q, q)),
+                (f"{name}.b", (4 * q,))]
 
-    @property
-    def state_size(self) -> int:
-        return self.u.shape[1]
+    def attention(name):
+        return [(f"{name}.proj", (q_att, 2 * q)), (f"{name}.bias", (q_att,)),
+                (f"{name}.query", (q_att,))]
 
-    @property
-    def input_size(self) -> int:
-        return self.w.shape[1]
-
-
-@dataclass
-class AttentionParams:
-    proj: np.ndarray   # (q_att, h_dim) score projection
-    bias: np.ndarray   # (q_att,)
-    query: np.ndarray  # (q_att,) context query vector
-
-
-@dataclass
-class AffineParams:
-    w: np.ndarray
-    b: np.ndarray
+    return [("t_v", (d_s, d_c)), ("t_s", (d_s, d_w)),
+            *cell("clip_fwd", d_s), *cell("clip_bwd", d_s), *attention("clip_att"),
+            *cell("word_fwd", 2 * q), *cell("word_bwd", 2 * q),
+            *attention("word_att"),
+            ("init_h.w", (q, 2 * q)), ("init_h.b", (q,)),   # decoder state
+            ("init_c.w", (q, 2 * q)), ("init_c.b", (q,)),   # initialization
+            *cell("decoder", d_s),                          # input: latent words
+            ("emit_w", (d_w, q)), ("emit_b", (d_w,))]       # softmax emission
 
 
-@dataclass
-class HanParams:
-    clip_fwd: RecurrentCellParams   # input d_s
-    clip_bwd: RecurrentCellParams
-    clip_att: AttentionParams       # over 2q clip-encoder states
-    word_fwd: RecurrentCellParams   # input 2q segment vectors
-    word_bwd: RecurrentCellParams
-    word_att: AttentionParams
-    init_h: AffineParams            # (q, 2q) decoder state initialization
-    init_c: AffineParams
-    decoder: RecurrentCellParams    # input d_s latent word vectors
-    emit_w: np.ndarray              # (d_w, q) softmax emission
-    emit_b: np.ndarray              # (d_w,)
+class Parameters(Mapping):
+    """Named arrays laid out back to back in one contiguous float64 buffer.
 
-    @property
-    def state_size(self) -> int:
-        return self.decoder.state_size
+    ``flat`` is the buffer and every name maps to a reshaped view of its
+    slice, so vector ops on ``flat`` act on all arrays at once. Assigning to a
+    name writes into its slice. ``group(prefix)`` returns the views named
+    ``prefix.*`` in layout order, e.g. a cell's (w, u, b).
+    """
 
-    @property
-    def vocab_size(self) -> int:
-        return self.emit_w.shape[0]
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]],
+                 flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for _, shape in layout]
+        self.layout = layout
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self._arrays: dict[str, np.ndarray] = {}
+        groups: dict[str, list[np.ndarray]] = {}
+        offset = 0
+        for (name, shape), size in zip(layout, sizes):
+            view = self.flat[offset:offset + size].reshape(shape)
+            self._arrays[name] = view
+            groups.setdefault(name.split(".")[0], []).append(view)
+            offset += size
+        self._groups = {prefix: tuple(views) for prefix, views in groups.items()}
 
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._arrays[name]
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    s = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-s, s, size=(rows, cols))
+    def __setitem__(self, name: str, value) -> None:
+        self._arrays[name][...] = value
 
+    def __iter__(self):
+        return iter(self._arrays)
 
-def _init_cell(rng: np.random.Generator, p: int, q: int) -> RecurrentCellParams:
-    b = np.zeros(4 * q)
-    b[q:2 * q] = 1.0  # forget-gate bias
-    return RecurrentCellParams(_glorot(rng, 4 * q, p), _glorot(rng, 4 * q, q), b)
+    def __len__(self) -> int:
+        return len(self._arrays)
 
-
-def _init_attention(rng: np.random.Generator, q_att: int, h_dim: int) -> AttentionParams:
-    return AttentionParams(_glorot(rng, q_att, h_dim), np.zeros(q_att),
-                           _glorot(rng, q_att, 1)[:, 0])
-
-
-def init_han_params(rng: np.random.Generator, d_s: int, q: int, q_att: int,
-                    d_w: int) -> HanParams:
-    return HanParams(
-        clip_fwd=_init_cell(rng, d_s, q),
-        clip_bwd=_init_cell(rng, d_s, q),
-        clip_att=_init_attention(rng, q_att, 2 * q),
-        word_fwd=_init_cell(rng, 2 * q, q),
-        word_bwd=_init_cell(rng, 2 * q, q),
-        word_att=_init_attention(rng, q_att, 2 * q),
-        init_h=AffineParams(_glorot(rng, q, 2 * q), np.zeros(q)),
-        init_c=AffineParams(_glorot(rng, q, 2 * q), np.zeros(q)),
-        decoder=_init_cell(rng, d_s, q),
-        emit_w=_glorot(rng, d_w, q),
-        emit_b=np.zeros(d_w),
-    )
+    def group(self, prefix: str) -> tuple[np.ndarray, ...]:
+        return self._groups[prefix]
 
 
-def init_latent_params(rng: np.random.Generator, d_s: int, d_c: int,
-                       d_w: int, scale: float = 4.0) -> LatentSpaceParams:
+def init_params(rng: np.random.Generator, d_s: int, d_c: int, d_w: int,
+                q: int, q_att: int) -> tuple[LatentSpaceParams, Parameters]:
+    """Glorot-uniform matrices and attention queries drawn in layout order;
+    zero biases, except a forget-gate bias of 1 in every recurrent cell."""
+    params = Parameters(param_layout(d_s, d_c, d_w, q, q_att))
+    for name, arr in params.items():
+        if arr.ndim == 2 or name.endswith(".query"):
+            # a query vector draws like a (q_att, 1) column
+            fan = arr.shape[0] + (arr.shape[1] if arr.ndim == 2 else 1)
+            s = math.sqrt(6.0 / fan)
+            arr[...] = rng.uniform(-s, s, size=arr.shape)
+        elif name.endswith(".b") and name[:-2] + ".u" in params:
+            arr[q:2 * q] = 1.0   # a recurrent cell's forget-gate bias
     # the projections start larger than the recurrent weights: the alignment
     # loss pulls them toward zero at a scale-independent rate, and a small
     # start collapses the latent space before the decoder can shape it
-    return LatentSpaceParams(scale * _glorot(rng, d_s, d_c),
-                             scale * _glorot(rng, d_s, d_w))
+    params["t_v"] *= 4.0
+    params["t_s"] *= 4.0
+    return LatentSpaceParams(params["t_v"], params["t_s"]), params
 
 
-def han_param_items(p: HanParams) -> list[tuple[str, np.ndarray]]:
-    """All parameter arrays in the fixed checkpoint / gradient order."""
-    items: list[tuple[str, np.ndarray]] = []
-    for name in ("clip_fwd", "clip_bwd"):
-        cell = getattr(p, name)
-        items += [(f"{name}.w", cell.w), (f"{name}.u", cell.u), (f"{name}.b", cell.b)]
-    items += [("clip_att.proj", p.clip_att.proj), ("clip_att.bias", p.clip_att.bias),
-              ("clip_att.query", p.clip_att.query)]
-    for name in ("word_fwd", "word_bwd"):
-        cell = getattr(p, name)
-        items += [(f"{name}.w", cell.w), (f"{name}.u", cell.u), (f"{name}.b", cell.b)]
-    items += [("word_att.proj", p.word_att.proj), ("word_att.bias", p.word_att.bias),
-              ("word_att.query", p.word_att.query)]
-    items += [("init_h.w", p.init_h.w), ("init_h.b", p.init_h.b),
-              ("init_c.w", p.init_c.w), ("init_c.b", p.init_c.b)]
-    items += [("decoder.w", p.decoder.w), ("decoder.u", p.decoder.u),
-              ("decoder.b", p.decoder.b)]
-    items += [("emit_w", p.emit_w), ("emit_b", p.emit_b)]
-    return items
-
-
-def zero_han_grads(p: HanParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in han_param_items(p)}
+def han_param_items(p: Parameters) -> list[tuple[str, np.ndarray]]:
+    """The HAN's arrays: every layout entry after ``t_v`` and ``t_s``."""
+    return list(p.items())[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +192,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def cell_step(cell: RecurrentCellParams, x: np.ndarray,
-              state: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """One gated recurrent step; returns (hidden, cell) state."""
-    (h, c), cache = _cell_forward(cell, x, state)
-    return h, c
-
-
-def _cell_forward(cell, x, state):
-    q = cell.state_size
-    if x.shape[0] != cell.input_size:
+def _cell_forward(cell, x, state=None):
+    """One LSTM step of ``cell`` = (w, u, b); returns ((h, c), cache)."""
+    w, u, b = cell
+    q = u.shape[1]
+    if x.shape[0] != w.shape[1]:
         raise ValueError(
-            f"input size {x.shape[0]} does not match cell ({cell.input_size})")
+            f"input size {x.shape[0]} does not match cell ({w.shape[1]})")
     if state is None:
         state = (np.zeros(q), np.zeros(q))
     h_prev, c_prev = state
-    z = cell.w @ x + cell.u @ h_prev + cell.b
+    z = w @ x + u @ h_prev + b
     i, f, o = _sigmoid(z[:q]), _sigmoid(z[q:2 * q]), _sigmoid(z[2 * q:3 * q])
     g = np.tanh(z[3 * q:])
     c = f * c_prev + i * g
@@ -246,6 +214,7 @@ def _cell_forward(cell, x, state):
 
 def _cell_backward(cell, cache, dh, dc):
     """Given upstream dh, dc for one step, return param grads and input grads."""
+    w, u, _ = cell
     x, h_prev, c_prev, i, f, o, g, tc = cache
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc * tc)
@@ -255,13 +224,13 @@ def _cell_backward(cell, cache, dh, dc):
                          do * o * (1 - o), dg * (1 - g * g)])
     dw = np.outer(dz, x)
     du = np.outer(dz, h_prev)
-    dx = cell.w.T @ dz
-    dh_prev = cell.u.T @ dz
+    dx = w.T @ dz
+    dh_prev = u.T @ dz
     return dw, du, dz, dx, dh_prev, dc_prev
 
 
 def _lstm_forward(cell, xs, state=None):
-    hs = np.empty((len(xs), cell.state_size))
+    hs = np.empty((len(xs), cell[1].shape[1]))
     caches = []
     for t, x in enumerate(xs):
         (h, c), cache = _cell_forward(cell, x, state)
@@ -271,26 +240,20 @@ def _lstm_forward(cell, xs, state=None):
     return hs, caches
 
 
-def _lstm_backward(cell, caches, dhs, grads, prefix,
-                   dh_last=None, dc_last=None):
-    """Accumulate cell grads into ``grads[prefix.*]``; return dxs, dh0, dc0."""
-    q = cell.state_size
-    dh = np.zeros(q) if dh_last is None else dh_last.copy()
-    dc = np.zeros(q) if dc_last is None else dc_last.copy()
-    dxs = np.empty((len(caches), cell.input_size))
+def _lstm_backward(cell, caches, dhs, dcell):
+    """Accumulate the cell's grads into the views ``dcell``; return dxs."""
+    gw, gu, gb = dcell
+    q = cell[1].shape[1]
+    dh = np.zeros(q)
+    dc = np.zeros(q)
+    dxs = np.empty((len(caches), cell[0].shape[1]))
     for t in range(len(caches) - 1, -1, -1):
         dw, du, db, dx, dh, dc = _cell_backward(cell, caches[t], dh + dhs[t], dc)
-        grads[f"{prefix}.w"] += dw
-        grads[f"{prefix}.u"] += du
-        grads[f"{prefix}.b"] += db
+        gw += dw
+        gu += du
+        gb += db
         dxs[t] = dx
-    return dxs, dh, dc
-
-
-def bidirectional_encode(fwd: RecurrentCellParams, bwd: RecurrentCellParams,
-                         xs: np.ndarray) -> np.ndarray:
-    hs, _ = _bidir_forward(fwd, bwd, xs)
-    return hs
+    return dxs
 
 
 def _bidir_forward(fwd, bwd, xs):
@@ -302,24 +265,21 @@ def _bidir_forward(fwd, bwd, xs):
     return hs, (cf, cb)
 
 
-def _bidir_backward(fwd, bwd, caches, dhs, grads, fwd_name, bwd_name):
+def _bidir_backward(fwd, bwd, caches, dhs, dfwd, dbwd):
     cf, cb = caches
-    q = fwd.state_size
-    dxs_f, _, _ = _lstm_backward(fwd, cf, dhs[:, :q], grads, fwd_name)
-    dxs_b, _, _ = _lstm_backward(bwd, cb, dhs[::-1, q:], grads, bwd_name)
+    q = fwd[1].shape[1]
+    dxs_f = _lstm_backward(fwd, cf, dhs[:, :q], dfwd)
+    dxs_b = _lstm_backward(bwd, cb, dhs[::-1, q:], dbwd)
     return dxs_f + dxs_b[::-1]
 
 
-def attention_pool(params: AttentionParams, hidden_seq: np.ndarray) -> np.ndarray:
-    pooled, _ = _attention_forward(params, hidden_seq)
-    return pooled
-
-
 def _attention_forward(params, hs):
+    """Attention pool of ``hs`` under ``params`` = (proj, bias, query)."""
+    proj, bias, query = params
     if len(hs) < 1:
         raise ValueError("cannot pool an empty sequence")
-    a = np.tanh(hs @ params.proj.T + params.bias)   # (T, q_att)
-    scores = a @ params.query
+    a = np.tanh(hs @ proj.T + bias)   # (T, q_att)
+    scores = a @ query
     scores = scores - scores.max()
     e = np.exp(scores)
     weights = e / e.sum()
@@ -327,18 +287,20 @@ def _attention_forward(params, hs):
     return pooled, (hs, a, weights)
 
 
-def _attention_backward(params, cache, dout, grads, name):
+def _attention_backward(params, cache, dout, dparams):
+    proj, _, query = params
+    gproj, gbias, gquery = dparams
     hs, a, weights = cache
     dweights = hs @ dout
     dhs = np.outer(weights, dout)
     # softmax backward
     dscores = weights * (dweights - weights @ dweights)
-    da = np.outer(dscores, params.query)
-    grads[f"{name}.query"] += a.T @ dscores
+    da = np.outer(dscores, query)
+    gquery += a.T @ dscores
     dpre = da * (1.0 - a * a)
-    grads[f"{name}.proj"] += dpre.T @ hs
-    grads[f"{name}.bias"] += dpre.sum(axis=0)
-    dhs += dpre @ params.proj
+    gproj += dpre.T @ hs
+    gbias += dpre.sum(axis=0)
+    dhs += dpre @ proj
     return dhs
 
 
@@ -354,49 +316,53 @@ class EncodedVideo:
     cache: tuple
 
 
-def encode_video(params: HanParams, latent_clips: np.ndarray,
+def encode_video(params: Parameters, latent_clips: np.ndarray,
                  segmentation: list[tuple[int, int]]) -> EncodedVideo:
     covered = [i for a, b in segmentation for i in range(a, b)]
     if covered != list(range(len(latent_clips))):
         raise ValueError("segmentation does not partition the clip sequence")
+    clip_fwd, clip_bwd = params.group("clip_fwd"), params.group("clip_bwd")
+    clip_att = params.group("clip_att")
     seg_caches = []
-    seg_vectors = np.empty((len(segmentation), 2 * params.clip_fwd.state_size))
+    seg_vectors = np.empty((len(segmentation), 2 * clip_fwd[1].shape[1]))
     for s, (a, b) in enumerate(segmentation):
-        hs, bid_cache = _bidir_forward(params.clip_fwd, params.clip_bwd,
-                                       latent_clips[a:b])
-        pooled, att_cache = _attention_forward(params.clip_att, hs)
+        hs, bid_cache = _bidir_forward(clip_fwd, clip_bwd, latent_clips[a:b])
+        pooled, att_cache = _attention_forward(clip_att, hs)
         seg_vectors[s] = pooled
         seg_caches.append((bid_cache, att_cache))
-    word_hs, word_bid_cache = _bidir_forward(params.word_fwd, params.word_bwd,
-                                             seg_vectors)
-    video_vector, word_att_cache = _attention_forward(params.word_att, word_hs)
-    h0 = params.init_h.w @ video_vector + params.init_h.b
-    c0 = params.init_c.w @ video_vector + params.init_c.b
+    word_hs, word_bid_cache = _bidir_forward(
+        params.group("word_fwd"), params.group("word_bwd"), seg_vectors)
+    video_vector, word_att_cache = _attention_forward(params.group("word_att"),
+                                                      word_hs)
+    h0 = params["init_h.w"] @ video_vector + params["init_h.b"]
+    c0 = params["init_c.w"] @ video_vector + params["init_c.b"]
     cache = (segmentation, seg_caches, word_bid_cache, word_att_cache,
              video_vector)
     return EncodedVideo(h0, c0, video_vector, cache)
 
 
-def _encode_backward(params: HanParams, enc: EncodedVideo, dh0, dc0,
-                     grads, n_clips: int) -> np.ndarray:
+def _encode_backward(params: Parameters, enc: EncodedVideo, dh0, dc0,
+                     grads: Parameters, n_clips: int) -> np.ndarray:
     segmentation, seg_caches, word_bid_cache, word_att_cache, u = enc.cache
-    grads["init_h.w"] += np.outer(dh0, u)
-    grads["init_h.b"] += dh0
-    grads["init_c.w"] += np.outer(dc0, u)
-    grads["init_c.b"] += dc0
-    du = params.init_h.w.T @ dh0 + params.init_c.w.T @ dc0
-    dword_hs = _attention_backward(params.word_att, word_att_cache, du,
-                                   grads, "word_att")
-    dseg = _bidir_backward(params.word_fwd, params.word_bwd, word_bid_cache,
-                           dword_hs, grads, "word_fwd", "word_bwd")
-    dlatent = np.zeros((n_clips, params.clip_fwd.input_size))
+    for name, d in (("init_h", dh0), ("init_c", dc0)):
+        gw, gb = grads.group(name)
+        gw += np.outer(d, u)
+        gb += d
+    du = params["init_h.w"].T @ dh0 + params["init_c.w"].T @ dc0
+    dword_hs = _attention_backward(params.group("word_att"), word_att_cache,
+                                   du, grads.group("word_att"))
+    dseg = _bidir_backward(params.group("word_fwd"), params.group("word_bwd"),
+                           word_bid_cache, dword_hs,
+                           grads.group("word_fwd"), grads.group("word_bwd"))
+    clip_fwd, clip_bwd = params.group("clip_fwd"), params.group("clip_bwd")
+    dlatent = np.zeros((n_clips, clip_fwd[0].shape[1]))
     for s, (a, b) in enumerate(segmentation):
         bid_cache, att_cache = seg_caches[s]
-        dhs = _attention_backward(params.clip_att, att_cache, dseg[s],
-                                  grads, "clip_att")
-        dlatent[a:b] = _bidir_backward(params.clip_fwd, params.clip_bwd,
-                                       bid_cache, dhs, grads,
-                                       "clip_fwd", "clip_bwd")
+        dhs = _attention_backward(params.group("clip_att"), att_cache, dseg[s],
+                                  grads.group("clip_att"))
+        dlatent[a:b] = _bidir_backward(clip_fwd, clip_bwd, bid_cache, dhs,
+                                       grads.group("clip_fwd"),
+                                       grads.group("clip_bwd"))
     return dlatent
 
 
@@ -404,34 +370,31 @@ def _encode_backward(params: HanParams, enc: EncodedVideo, dh0, dc0,
 # emission and coherence loss
 # ---------------------------------------------------------------------------
 
-def emission_probs(params: HanParams, h_t: np.ndarray) -> np.ndarray:
-    logits = params.emit_w @ h_t + params.emit_b
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
 def _emission_log_probs(params, h_t):
-    logits = params.emit_w @ h_t + params.emit_b
+    logits = params["emit_w"] @ h_t + params["emit_b"]
     logits = logits - logits.max()
     return logits - np.log(np.exp(logits).sum())
 
 
-def _coherence_forward(han: HanParams, ls: LatentSpaceParams,
+def _coherence_forward(han: Parameters, ls: LatentSpaceParams,
                        video: ClipFeatureSequence, sentence: Sentence,
                        strategy: SegmentationStrategy):
     latent_clips = project_video(ls.t_v, video)
     enc = encode_video(han, latent_clips, segment_clips(video.n, strategy))
     input_tokens = (START_INDEX,) + sentence.tokens
     targets = sentence.tokens + (END_INDEX,)
+    decoder = han.group("decoder")
     state = (enc.h0, enc.c0)
     dec_caches = []
     probs = []
     loss = 0.0
     for token, target in zip(input_tokens, targets):
         x = ls.t_s[:, token]
-        state, cache = _cell_forward(han.decoder, x, state)
-        p = emission_probs(han, state[0])
+        state, cache = _cell_forward(decoder, x, state)
+        # the gradient needs the emission probabilities themselves
+        logits = han["emit_w"] @ state[0] + han["emit_b"]
+        e = np.exp(logits - logits.max())
+        p = e / e.sum()
         loss -= float(np.log(p[target]))
         dec_caches.append(cache)
         probs.append(p)
@@ -439,7 +402,7 @@ def _coherence_forward(han: HanParams, ls: LatentSpaceParams,
     return loss, fwd
 
 
-def coherence_loss(han: HanParams, ls: LatentSpaceParams,
+def coherence_loss(han: Parameters, ls: LatentSpaceParams,
                    video: ClipFeatureSequence, sentence: Sentence,
                    strategy: SegmentationStrategy = DEFAULT_STRATEGY) -> float:
     """Teacher-forced negative log-likelihood of the gold sentence plus #End."""
@@ -447,39 +410,38 @@ def coherence_loss(han: HanParams, ls: LatentSpaceParams,
     return loss
 
 
-def coherence_grad(han: HanParams, ls: LatentSpaceParams,
+def coherence_grad(han: Parameters, ls: LatentSpaceParams,
                    video: ClipFeatureSequence, sentence: Sentence,
                    strategy: SegmentationStrategy = DEFAULT_STRATEGY
-                   ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Reverse-mode gradients of the coherence loss.
+                   ) -> Parameters:
+    """Reverse-mode gradients of the coherence loss, in the layout of ``han``.
 
-    Returns (HAN grads keyed like ``han_param_items``, dL/dT_v, dL/dT_s).
     Input gradients reach the projections as outer products: clip latents map
     back through the raw clip features, word latents through their one-hots.
     """
     loss, fwd = _coherence_forward(han, ls, video, sentence, strategy)
     latent_clips, enc, input_tokens, targets, dec_caches, probs, _ = fwd
-    grads = zero_han_grads(han)
-    g_ts = np.zeros_like(ls.t_s)
+    grads = Parameters(han.layout)
+    decoder, (gw, gu, gb) = han.group("decoder"), grads.group("decoder")
+    g_emit_w, g_emit_b, g_ts = grads["emit_w"], grads["emit_b"], grads["t_s"]
 
-    steps = len(dec_caches)
-    q = han.state_size
+    q = decoder[1].shape[1]
     dh, dc = np.zeros(q), np.zeros(q)
-    for t in range(steps - 1, -1, -1):
+    for t in range(len(dec_caches) - 1, -1, -1):
         dlogits = probs[t].copy()
         dlogits[targets[t]] -= 1.0
         h_t = dec_caches[t][5] * dec_caches[t][7]  # o * tanh(c)
-        grads["emit_w"] += np.outer(dlogits, h_t)
-        grads["emit_b"] += dlogits
-        dh = dh + han.emit_w.T @ dlogits
-        dw, du, db, dx, dh, dc = _cell_backward(han.decoder, dec_caches[t], dh, dc)
-        grads["decoder.w"] += dw
-        grads["decoder.u"] += du
-        grads["decoder.b"] += db
+        g_emit_w += np.outer(dlogits, h_t)
+        g_emit_b += dlogits
+        dh = dh + han["emit_w"].T @ dlogits
+        dw, du, db, dx, dh, dc = _cell_backward(decoder, dec_caches[t], dh, dc)
+        gw += dw
+        gu += du
+        gb += db
         g_ts[:, input_tokens[t]] += dx
     dlatent = _encode_backward(han, enc, dh, dc, grads, video.n)
-    g_tv = dlatent.T @ video.clips
-    return grads, g_tv, g_ts
+    grads["t_v"] = dlatent.T @ video.clips
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +456,13 @@ def _decode_init(han, ls, video, strategy):
 
 def _decode_step(han, ls, state, token):
     x = ls.t_s[:, token]
-    h, c = cell_step(han.decoder, x, state)
+    (h, c), _ = _cell_forward(han.group("decoder"), x, state)
     log_p = _emission_log_probs(han, h)
-    log_p = log_p.copy()
     log_p[START_INDEX] = -np.inf  # the start symbol is never emitted
     return (h, c), log_p
 
 
-def greedy_decode(han: HanParams, ls: LatentSpaceParams,
+def greedy_decode(han: Parameters, ls: LatentSpaceParams,
                   video: ClipFeatureSequence,
                   strategy: SegmentationStrategy = DEFAULT_STRATEGY,
                   max_len: int = 30) -> tuple[int, ...]:
@@ -520,7 +481,7 @@ def greedy_decode(han: HanParams, ls: LatentSpaceParams,
     return tuple(out)
 
 
-def kbest_decode(han: HanParams, ls: LatentSpaceParams,
+def kbest_decode(han: Parameters, ls: LatentSpaceParams,
                  video: ClipFeatureSequence,
                  strategy: SegmentationStrategy = DEFAULT_STRATEGY,
                  k: int = 5, max_len: int = 30
@@ -570,27 +531,26 @@ CHECKPOINT_MAGIC = b"LSHN"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path: Path | str, ls: LatentSpaceParams, han: HanParams,
+def save_checkpoint(path: Path | str, ls: LatentSpaceParams, han: Parameters,
                     strategy: SegmentationStrategy) -> None:
-    """Binary checkpoint: magic, version, dimension header, then float64 LE
-    parameter matrices in the order T_v, T_s, ``han_param_items``."""
+    """Binary checkpoint: magic, version, dimension header, then the parameter
+    buffer as float64 LE in ``param_layout`` order. ``ls`` must view ``han``."""
+    if ls.t_v is not han["t_v"] or ls.t_s is not han["t_s"]:
+        raise ValueError("the latent projections are not views of the parameters")
     d_s, d_c = ls.t_v.shape
     d_w = ls.t_s.shape[1]
-    q = han.state_size
-    q_att = han.clip_att.proj.shape[0]
+    q = han["decoder.u"].shape[1]
+    q_att = han["clip_att.proj"].shape[0]
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIIIIIII", CHECKPOINT_VERSION, d_c, d_w, d_s,
                              q, q_att, _STRATEGY_CODES[strategy.kind],
                              strategy.k))
-        fh.write(ls.t_v.astype("<f8").tobytes(order="C"))
-        fh.write(ls.t_s.astype("<f8").tobytes(order="C"))
-        for _, arr in han_param_items(han):
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+        fh.write(han.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: Path | str
-                    ) -> tuple[LatentSpaceParams, HanParams, SegmentationStrategy]:
+                    ) -> tuple[LatentSpaceParams, Parameters, SegmentationStrategy]:
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 36 or data[:4] != CHECKPOINT_MAGIC:
@@ -599,31 +559,16 @@ def load_checkpoint(path: Path | str
         "<IIIIIIII", data[4:36])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = [36]
-
-    def take(*shape):
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count,
-                            offset=offset[0]).reshape(shape).copy()
-        offset[0] += 8 * count
-        return arr
-
-    ls = LatentSpaceParams(take(d_s, d_c), take(d_s, d_w))
-    cells = {}
-    for name, p in (("clip_fwd", d_s), ("clip_bwd", d_s)):
-        cells[name] = RecurrentCellParams(take(4 * q, p), take(4 * q, q), take(4 * q))
-    clip_att = AttentionParams(take(q_att, 2 * q), take(q_att), take(q_att))
-    for name in ("word_fwd", "word_bwd"):
-        cells[name] = RecurrentCellParams(take(4 * q, 2 * q), take(4 * q, q), take(4 * q))
-    word_att = AttentionParams(take(q_att, 2 * q), take(q_att), take(q_att))
-    init_h = AffineParams(take(q, 2 * q), take(q))
-    init_c = AffineParams(take(q, 2 * q), take(q))
-    decoder = RecurrentCellParams(take(4 * q, d_s), take(4 * q, q), take(4 * q))
-    emit_w, emit_b = take(d_w, q), take(d_w)
-    if offset[0] != len(data):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
-    han = HanParams(cells["clip_fwd"], cells["clip_bwd"], clip_att,
-                    cells["word_fwd"], cells["word_bwd"], word_att,
-                    init_h, init_c, decoder, emit_w, emit_b)
-    strategy = SegmentationStrategy(_STRATEGY_KINDS[strat_code], strat_k)
-    return ls, han, strategy
+    try:
+        strategy = SegmentationStrategy(_STRATEGY_KINDS[strat_code], strat_k)
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: bad segmentation strategy code {strat_code}"
+                         f" (k={strat_k})") from None
+    layout = param_layout(d_s, d_c, d_w, q, q_att)
+    expected = 36 + 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, but its header "
+                         f"describes {expected}")
+    han = Parameters(layout, np.frombuffer(data, dtype="<f8", offset=36)
+                     .astype(np.float64))
+    return LatentSpaceParams(han["t_v"], han["t_s"]), han, strategy

@@ -103,12 +103,6 @@ def project_sentence(t_s: np.ndarray, sentence: Sentence) -> np.ndarray:
     return t_s[:, tokens].T
 
 
-def pair_distance(v_lat: np.ndarray, s_lat: np.ndarray) -> float:
-    if v_lat.shape != s_lat.shape:
-        raise ValueError(f"dimension mismatch {v_lat.shape} vs {s_lat.shape}")
-    return float(np.linalg.norm(v_lat - s_lat))
-
-
 def window_policy(n: int, m: int) -> WindowPolicy:
     """Per-word feasible clip ranges from evenly assigned overlapping windows."""
     if not n >= m >= 1:

@@ -21,7 +21,7 @@ import numpy as np
 from . import han as han_mod
 from . import latent_space as ls_mod
 from .corpus import ClipFeatureSequence, Dataset, Sentence
-from .han import HanParams, SegmentationStrategy, parse_strategy, save_checkpoint
+from .han import Parameters, SegmentationStrategy, parse_strategy, save_checkpoint
 from .latent_space import LatentSpaceParams
 
 
@@ -71,13 +71,14 @@ class TrainingConfig:
             raise ConfigError("bad checkpoint cadence or gradient clip norm")
 
 
+_PARSERS_BY_TYPE = {
+    bool: lambda s: {"true": True, "false": False}[s.lower()],
+    SegmentationStrategy: parse_strategy,
+}
+# each key parses as the type of its default
 _CONFIG_PARSERS = {
-    "lambda1": float, "lambda2": float, "learning_rate": float,
-    "decay_factor": float, "decay_interval": int, "epochs": int,
-    "batch_size": int, "seed": int, "latent_dim": int, "hidden_size": int,
-    "attention_size": int, "strategy": parse_strategy,
-    "windowed_dtw": lambda s: {"true": True, "false": False}[s.lower()],
-    "checkpoint_every": int, "max_grad_norm": float, "max_decode_len": int,
+    f.name: _PARSERS_BY_TYPE.get(type(f.default), type(f.default))
+    for f in fields(TrainingConfig)
 }
 
 
@@ -133,15 +134,10 @@ class EpochStats:
 @dataclass
 class TrainState:
     ls: LatentSpaceParams
-    han: HanParams
+    han: Parameters   # the whole parameter buffer; ``ls`` views part of it
     epoch: int
     history: list[EpochStats] = field(default_factory=list)
     rng: np.random.Generator | None = None
-
-
-def _all_params(ls: LatentSpaceParams, han: HanParams
-                ) -> list[tuple[str, np.ndarray]]:
-    return [("t_v", ls.t_v), ("t_s", ls.t_s)] + han_mod.han_param_items(han)
 
 
 def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
@@ -151,11 +147,12 @@ def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
     return ls_mod.window_policy(video.n, sentence.length)
 
 
-def regularizer(ls: LatentSpaceParams, han: HanParams) -> float:
-    return float(sum(np.sum(arr * arr) for _, arr in _all_params(ls, han)))
+def regularizer(params: Parameters) -> float:
+    # summed array by array: one dot product over the buffer rounds differently
+    return float(sum(np.sum(arr * arr) for arr in params.values()))
 
 
-def joint_loss(batch, ls: LatentSpaceParams, han: HanParams,
+def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
                cfg: TrainingConfig) -> tuple[float, float, float, float]:
     """Returns (total, mean relevance, mean coherence, regularizer)."""
     if not batch:
@@ -169,15 +166,15 @@ def joint_loss(batch, ls: LatentSpaceParams, han: HanParams,
             coh += han_mod.coherence_loss(han, ls, video, sentence, cfg.strategy)
     rel /= len(batch)
     coh /= len(batch)
-    reg = regularizer(ls, han)
+    reg = regularizer(han)
     total = cfg.lambda1 * rel + (1.0 - cfg.lambda1) * coh + cfg.lambda2 * reg
     return total, rel, coh, reg
 
 
-def joint_grad(batch, ls: LatentSpaceParams, han: HanParams,
+def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
                cfg: TrainingConfig, mask_relevance: bool = False,
-               mask_coherence: bool = False) -> dict[str, np.ndarray]:
-    """Batch-mean gradient of the joint objective, keyed like ``_all_params``.
+               mask_coherence: bool = False) -> Parameters:
+    """Batch-mean gradient of the joint objective, in the layout of ``han``.
 
     The mask flags drop a loss term entirely (used by diagnostics); with
     lambda1 at an endpoint the inactive term is skipped exactly, so e.g. at
@@ -185,7 +182,7 @@ def joint_grad(batch, ls: LatentSpaceParams, han: HanParams,
     """
     if not batch:
         raise ValueError("empty batch")
-    grads = {name: np.zeros_like(arr) for name, arr in _all_params(ls, han)}
+    grads = Parameters(han.layout)
     use_rel = cfg.lambda1 > 0.0 and not mask_relevance
     use_coh = cfg.lambda1 < 1.0 and not mask_coherence
     scale = 1.0 / len(batch)
@@ -196,36 +193,30 @@ def joint_grad(batch, ls: LatentSpaceParams, han: HanParams,
             grads["t_v"] += cfg.lambda1 * scale * g_tv
             grads["t_s"] += cfg.lambda1 * scale * g_ts
         if use_coh:
-            h_grads, g_tv, g_ts = han_mod.coherence_grad(
-                han, ls, video, sentence, cfg.strategy)
+            coh = han_mod.coherence_grad(han, ls, video, sentence, cfg.strategy)
             w = (1.0 - cfg.lambda1) * scale
-            grads["t_v"] += w * g_tv
-            grads["t_s"] += w * g_ts
-            for name, g in h_grads.items():
-                grads[name] += w * g
+            grads.flat += w * coh.flat
     if cfg.lambda2 > 0.0:
-        for name, arr in _all_params(ls, han):
-            grads[name] += 2.0 * cfg.lambda2 * arr
+        grads.flat += 2.0 * cfg.lambda2 * han.flat
     return grads
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_gradients(grads: Parameters, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm."""
+    # summed array by array, like ``regularizer``
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grads.flat *= max_norm / total
     return total
 
 
-def sgd_step(state: TrainState, grads: dict[str, np.ndarray],
-             rate: float) -> TrainState:
+def sgd_step(state: TrainState, grads: Parameters, rate: float) -> TrainState:
     """In-place descent step p <- p - rate * g; aborts on non-finite results."""
-    for name, arr in _all_params(state.ls, state.han):
-        arr -= rate * grads[name]
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDiverged(f"parameter group {name!r} became non-finite")
+    state.han.flat -= rate * grads.flat
+    if not np.all(np.isfinite(state.han.flat)):
+        name = next(name for name, arr in state.han.items()
+                    if not np.all(np.isfinite(arr)))
+        raise TrainingDiverged(f"parameter group {name!r} became non-finite")
     return state
 
 
@@ -235,9 +226,8 @@ def learning_rate_at(cfg: TrainingConfig, epoch: int) -> float:
 
 def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
-    ls = han_mod.init_latent_params(rng, cfg.latent_dim, d_c, d_w)
-    han = han_mod.init_han_params(rng, cfg.latent_dim, cfg.hidden_size,
-                                  cfg.attention_size, d_w)
+    ls, han = han_mod.init_params(rng, cfg.latent_dim, d_c, d_w,
+                                  cfg.hidden_size, cfg.attention_size)
     return TrainState(ls, han, epoch=0, rng=rng)
 
 
@@ -277,7 +267,7 @@ def train(dataset: Dataset, cfg: TrainingConfig,
                         state.han, state.ls, video, sentence, cfg.strategy)
         rel = rel_sum / len(dataset)
         coh = coh_sum / len(dataset)
-        reg = regularizer(state.ls, state.han)
+        reg = regularizer(state.han)
         total = cfg.lambda1 * rel + (1.0 - cfg.lambda1) * coh + cfg.lambda2 * reg
         if not np.isfinite(total):
             raise TrainingDiverged(
@@ -379,8 +369,8 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
         batch = [(video, sentence)]
         grads = joint_grad(batch, ls, han, eff)
         if _corrupt_group is not None:
-            grads[_corrupt_group] = grads[_corrupt_group] + 1.0
-        for name, arr in _all_params(ls, han):
+            grads[_corrupt_group] += 1.0
+        for name, arr in han.items():
             flat = arr.reshape(-1)
             g_flat = grads[name].reshape(-1)
             if samples_per_group is None or samples_per_group >= flat.size:

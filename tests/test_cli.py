@@ -1,10 +1,16 @@
 import filecmp
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lshan import cli
+from lshan import han as han_mod
 from lshan.corpus import load_dataset, read_vocabulary
 
 
@@ -74,6 +80,13 @@ class TestSynth:
         manifest = json.loads((out / "run_synth.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["args"]["seed"] == 3
+
+    def test_run_manifest_omits_handler(self, tmp_path):
+        # the handler's repr holds a per-process address
+        out = tmp_path / "data"
+        run(*synth_args(out))
+        manifest = json.loads((out / "run_synth.json").read_text())
+        assert "func" not in manifest["args"]
 
 
 class TestTrainEval:
@@ -170,7 +183,44 @@ class TestExitCodes:
         run(*synth_args(out))
         assert run("eval", "--model", str(junk), "--data", str(out)) == 1
 
+    def checkpoint_bytes(self, tmp_path):
+        ls, han = han_mod.init_params(np.random.default_rng(0), 4, 5, 8, 6, 4)
+        path = tmp_path / "model.lshn"
+        han_mod.save_checkpoint(path, ls, han, han_mod.DEFAULT_STRATEGY)
+        return path.read_bytes()
+
+    # an unknown strategy code, and even-k with k = 0
+    @pytest.mark.parametrize("offset,value", [(28, 9), (32, 0)])
+    def test_bad_strategy_is_usage_error(self, tmp_path, capsys, offset,
+                                         value):
+        data = bytearray(self.checkpoint_bytes(tmp_path))
+        data[offset:offset + 4] = struct.pack("<I", value)
+        bad = tmp_path / "bad_strategy.lshn"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "data"
+        run(*synth_args(out))
+        assert run("eval", "--model", str(bad), "--data", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "bad_strategy.lshn: bad segmentation strategy" in err
+
+    def test_truncated_checkpoint_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "truncated.lshn"
+        bad.write_bytes(self.checkpoint_bytes(tmp_path)[:-8])
+        out = tmp_path / "data"
+        run(*synth_args(out))
+        assert run("eval", "--model", str(bad), "--data", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "truncated.lshn" in err and "buffer" not in err
+
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0
         out = capsys.readouterr().out
         assert "max_rel_err" in out and "FAIL" not in out
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lshan.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lshan import corpus
 from lshan.corpus import (
     ClipFeatureSequence, CorpusError, Sentence, SyntheticConfig, Vocabulary,
-    build_vocabulary, encode_one_hot, generate_synthetic, load_dataset,
-    read_features, save_dataset, window_clips, write_features,
+    build_vocabulary, generate_synthetic, load_dataset, read_features,
+    save_dataset, write_features,
 )
 
 
@@ -30,59 +28,6 @@ class TestBuildVocabulary:
     def test_reserved_token_in_corpus_rejected(self):
         with pytest.raises(CorpusError):
             build_vocabulary([["#End"]])
-
-
-class TestOneHot:
-    def test_definition(self):
-        vocab = build_vocabulary([["a", "b", "c"]])
-        assert encode_one_hot(2, vocab).tolist() == [0, 0, 1, 0, 0]
-
-    def test_start_symbol(self):
-        vocab = build_vocabulary([["x"]])
-        assert encode_one_hot(0, vocab).tolist() == [1, 0, 0]
-
-    def test_out_of_range(self):
-        vocab = build_vocabulary([["a", "b", "c"]])
-        with pytest.raises(CorpusError):
-            encode_one_hot(5, vocab)
-
-    @given(st.integers(0, 7))
-    def test_injective(self, idx):
-        vocab = build_vocabulary([[f"t{i}" for i in range(6)]])
-        vec = encode_one_hot(idx, vocab)
-        assert vec.sum() == 1.0 and vec[idx] == 1.0
-
-
-class TestWindowClips:
-    def test_half_overlap_starts(self):
-        frames = np.arange(32, dtype=float)[:, None] * np.ones((1, 3))
-        seq = window_clips(frames, 16, 0.5)
-        assert seq.n == 3
-        # mean-pooled means of windows starting at frames 0, 8, 16
-        assert seq.clips[:, 0].tolist() == [7.5, 15.5, 23.5]
-
-    def test_single_window(self):
-        seq = window_clips(np.ones((16, 2)), 16, 0.5)
-        assert seq.n == 1
-
-    def test_too_few_frames(self):
-        with pytest.raises(CorpusError):
-            window_clips(np.ones((10, 2)), 16, 0.5)
-
-    def test_final_window_anchored(self):
-        seq = window_clips(np.ones((21, 2)), 16, 0.5)
-        # stride 8: start 0, then anchored final window at 5
-        assert seq.n == 2
-
-    @pytest.mark.parametrize("clip_len,overlap", [(4, 0.5), (5, 0.0), (6, 0.8)])
-    def test_count_matches_stride_rule(self, clip_len, overlap):
-        for total in range(clip_len, 10 * clip_len + 1):
-            stride = max(1, int(clip_len * (1 - overlap)))
-            starts = list(range(0, total - clip_len + 1, stride))
-            if starts[-1] != total - clip_len:
-                starts.append(total - clip_len)
-            seq = window_clips(np.zeros((total, 1)), clip_len, overlap)
-            assert seq.n == len(starts)
 
 
 class TestTypes:

@@ -93,11 +93,9 @@ def tiny_dataset(n_instances=4, seed=0):
 
 
 def tiny_model(ds, seed=0, q=6):
-    rng = np.random.default_rng(seed)
-    d_w = len(ds.vocabulary.words)
-    ls = han_mod.init_latent_params(rng, 4, ds.instances[0][0].dim, d_w)
-    han = han_mod.init_han_params(rng, 4, q, 4, d_w)
-    return ls, han
+    return han_mod.init_params(np.random.default_rng(seed), 4,
+                               ds.instances[0][0].dim,
+                               len(ds.vocabulary.words), q, 4)
 
 
 class TestEvaluate:
@@ -113,9 +111,9 @@ class TestEvaluate:
     def test_always_end_model_scores_zero(self):
         ds = tiny_dataset()
         ls, han = tiny_model(ds)
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
-        han.emit_b[1] = 50.0
+        han["emit_w"] = 0.0
+        han["emit_b"] = 0.0
+        han["emit_b"][1] = 50.0
         report = evaluate(ls, han, ds, han_mod.DEFAULT_STRATEGY, 10)
         # every reference word is missing from the empty hypotheses
         assert report.mean_accuracy == pytest.approx(0.0)

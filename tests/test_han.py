@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from lshan import han as han_mod
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.han import (
-    AttentionParams, RecurrentCellParams, SegmentationStrategy, attention_pool,
-    bidirectional_encode, cell_step, coherence_grad, coherence_loss,
-    emission_probs, encode_video, greedy_decode, han_param_items,
-    init_han_params, init_latent_params, kbest_decode, load_checkpoint,
-    parse_strategy, save_checkpoint, segment_clips,
+    SegmentationStrategy, _attention_forward, _bidir_forward, _cell_forward,
+    _emission_log_probs, coherence_grad, coherence_loss, encode_video,
+    greedy_decode, han_param_items, init_params, kbest_decode, load_checkpoint,
+    param_layout, parse_strategy, save_checkpoint, segment_clips,
 )
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "standard.lshn"
 
 TWO = SegmentationStrategy("two-split")
 PAIR = SegmentationStrategy("pair-split")
@@ -25,10 +27,7 @@ def even(k):
 
 
 def tiny_model(seed=0, d_s=6, q=8, q_att=5, d_w=10, d_c=5):
-    rng = np.random.default_rng(seed)
-    ls = init_latent_params(rng, d_s, d_c, d_w)
-    han = init_han_params(rng, d_s, q, q_att, d_w)
-    return ls, han
+    return init_params(np.random.default_rng(seed), d_s, d_c, d_w, q, q_att)
 
 
 def tiny_instance(seed=0, n=5, m=2, d_c=5, d_w=10):
@@ -69,45 +68,41 @@ class TestSegmentation:
 
 class TestCellStep:
     def test_zero_weights_zero_hidden(self):
-        cell = RecurrentCellParams(np.zeros((12, 2)), np.zeros((12, 3)),
-                                   np.zeros(12))
-        h, c = cell_step(cell, np.array([1.0, -2.0]))
+        cell = (np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
+        (h, c), _ = _cell_forward(cell, np.array([1.0, -2.0]))
         assert not h.any() and not c.any()
 
     def test_state_stays_zero_under_zero_weights(self):
-        cell = RecurrentCellParams(np.zeros((12, 2)), np.zeros((12, 3)),
-                                   np.zeros(12))
+        cell = (np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
         state = None
         for _ in range(3):
-            state = cell_step(cell, np.zeros(2), state)
+            state, _ = _cell_forward(cell, np.zeros(2), state)
         assert not state[0].any()
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(3)
         p, q = 2, 3
-        cell = RecurrentCellParams(rng.normal(size=(4 * q, p)),
-                                   rng.normal(size=(4 * q, q)),
-                                   rng.normal(size=4 * q))
+        w, u, b = cell = (rng.normal(size=(4 * q, p)),
+                          rng.normal(size=(4 * q, q)), rng.normal(size=4 * q))
         x = rng.normal(size=p)
         h_prev, c_prev = rng.normal(size=q), rng.normal(size=q)
-        h, c = cell_step(cell, x, (h_prev, c_prev))
+        (h, c), _ = _cell_forward(cell, x, (h_prev, c_prev))
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
         for r in range(q):
-            z = [float(cell.w[g * q + r] @ x + cell.u[g * q + r] @ h_prev
-                       + cell.b[g * q + r]) for g in range(4)]
+            z = [float(w[g * q + r] @ x + u[g * q + r] @ h_prev + b[g * q + r])
+                 for g in range(4)]
             ce = sig(z[1]) * c_prev[r] + sig(z[0]) * math.tanh(z[3])
             he = sig(z[2]) * math.tanh(ce)
             assert c[r] == pytest.approx(ce, abs=1e-12)
             assert h[r] == pytest.approx(he, abs=1e-12)
 
     def test_shape_mismatch(self):
-        cell = RecurrentCellParams(np.zeros((12, 2)), np.zeros((12, 3)),
-                                   np.zeros(12))
+        cell = (np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
         with pytest.raises(ValueError):
-            cell_step(cell, np.zeros(5))
+            _cell_forward(cell, np.zeros(5))
 
 
 class TestBidirectional:
@@ -115,25 +110,27 @@ class TestBidirectional:
         rng = np.random.default_rng(seed)
 
         def cell():
-            return RecurrentCellParams(rng.normal(size=(4 * q, p)) * 0.4,
-                                       rng.normal(size=(4 * q, q)) * 0.4,
-                                       rng.normal(size=4 * q) * 0.1)
+            return (rng.normal(size=(4 * q, p)) * 0.4,
+                    rng.normal(size=(4 * q, q)) * 0.4,
+                    rng.normal(size=4 * q) * 0.1)
         fwd = cell()
         return fwd, (fwd if shared else cell())
 
     def test_length_one(self):
         fwd, bwd = self.make_cells(0)
         x = np.random.default_rng(1).normal(size=(1, 3))
-        hs = bidirectional_encode(fwd, bwd, x)
-        np.testing.assert_allclose(hs[0, :4], cell_step(fwd, x[0])[0])
-        np.testing.assert_allclose(hs[0, 4:], cell_step(bwd, x[0])[0])
+        hs = _bidir_forward(fwd, bwd, x)[0]
+        (h_fwd, _), _ = _cell_forward(fwd, x[0])
+        (h_bwd, _), _ = _cell_forward(bwd, x[0])
+        np.testing.assert_allclose(hs[0, :4], h_fwd)
+        np.testing.assert_allclose(hs[0, 4:], h_bwd)
 
     def test_palindrome_symmetry(self):
         fwd, bwd = self.make_cells(2, shared=True)
         rng = np.random.default_rng(3)
         half = rng.normal(size=(3, 3))
         xs = np.concatenate([half, half[::-1]])
-        hs = bidirectional_encode(fwd, bwd, xs)
+        hs = _bidir_forward(fwd, bwd, xs)[0]
         # reversing a palindrome swaps forward and backward halves
         swapped = np.concatenate([hs[::-1, 4:], hs[::-1, :4]], axis=1)
         np.testing.assert_allclose(hs, swapped, atol=1e-12)
@@ -141,40 +138,41 @@ class TestBidirectional:
     def test_equals_two_unidirectional_runs(self):
         fwd, bwd = self.make_cells(4)
         xs = np.random.default_rng(5).normal(size=(6, 3))
-        hs = bidirectional_encode(fwd, bwd, xs)
+        hs = _bidir_forward(fwd, bwd, xs)[0]
         state = None
         for t in range(6):
-            state = cell_step(fwd, xs[t], state)
+            state, _ = _cell_forward(fwd, xs[t], state)
             np.testing.assert_allclose(hs[t, :4], state[0], atol=1e-12)
         state = None
         for t in range(5, -1, -1):
-            state = cell_step(bwd, xs[t], state)
+            state, _ = _cell_forward(bwd, xs[t], state)
             np.testing.assert_allclose(hs[t, 4:], state[0], atol=1e-12)
 
 
 class TestAttentionPool:
     def make_params(self, seed, h_dim=4, q_att=3):
         rng = np.random.default_rng(seed)
-        return AttentionParams(rng.normal(size=(q_att, h_dim)),
-                               rng.normal(size=q_att), rng.normal(size=q_att))
+        return (rng.normal(size=(q_att, h_dim)), rng.normal(size=q_att),
+                rng.normal(size=q_att))
 
     def test_single_vector_identity(self):
         params = self.make_params(0)
         h = np.random.default_rng(1).normal(size=(1, 4))
-        np.testing.assert_allclose(attention_pool(params, h), h[0], atol=1e-12)
+        np.testing.assert_allclose(_attention_forward(params, h)[0], h[0],
+                                   atol=1e-12)
 
     def test_identical_vectors_identity(self):
         params = self.make_params(2)
         h = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (5, 1))
-        np.testing.assert_allclose(attention_pool(params, h), h[0], atol=1e-12)
+        np.testing.assert_allclose(_attention_forward(params, h)[0], h[0],
+                                   atol=1e-12)
 
     def test_matches_explicit_weighted_sum(self):
-        params = self.make_params(3)
+        params = proj, bias, query = self.make_params(3)
         hs = np.random.default_rng(4).normal(size=(6, 4))
-        scores = np.array([params.query @ np.tanh(params.proj @ h + params.bias)
-                           for h in hs])
+        scores = np.array([query @ np.tanh(proj @ h + bias) for h in hs])
         weights = np.exp(scores) / np.exp(scores).sum()
-        np.testing.assert_allclose(attention_pool(params, hs),
+        np.testing.assert_allclose(_attention_forward(params, hs)[0],
                                    weights @ hs, atol=1e-12)
         assert weights.sum() == pytest.approx(1.0)
 
@@ -196,45 +194,49 @@ class TestEncodeVideo:
         ls, han = tiny_model(1)
         clips = np.random.default_rng(2).normal(size=(5, 6))
         enc = encode_video(han, clips, [(0, 5)])
-        seg_vec = attention_pool(
-            han.clip_att, bidirectional_encode(han.clip_fwd, han.clip_bwd, clips))
-        word_h = bidirectional_encode(han.word_fwd, han.word_bwd, seg_vec[None, :])
-        u = attention_pool(han.word_att, word_h)
+        clip_h, _ = _bidir_forward(han.group("clip_fwd"), han.group("clip_bwd"),
+                                   clips)
+        seg_vec, _ = _attention_forward(han.group("clip_att"), clip_h)
+        word_h, _ = _bidir_forward(han.group("word_fwd"), han.group("word_bwd"),
+                                   seg_vec[None, :])
+        u, _ = _attention_forward(han.group("word_att"), word_h)
         np.testing.assert_allclose(enc.video_vector, u, atol=1e-12)
-        np.testing.assert_allclose(enc.h0, han.init_h.w @ u + han.init_h.b,
+        np.testing.assert_allclose(enc.h0, han["init_h.w"] @ u + han["init_h.b"],
                                    atol=1e-12)
 
 
 class TestEmission:
     def test_uniform_at_zero_params(self):
         ls, han = tiny_model()
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
-        p = emission_probs(han, np.random.default_rng(0).normal(size=8))
+        han["emit_w"][...] = 0.0
+        han["emit_b"][...] = 0.0
+        h = np.random.default_rng(0).normal(size=8)
+        p = np.exp(_emission_log_probs(han, h))
         np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-12)
 
     def test_large_bias_is_stable(self):
         ls, han = tiny_model()
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
-        han.emit_b[3] = 1000.0
-        p = emission_probs(han, np.zeros(8))
+        han["emit_w"][...] = 0.0
+        han["emit_b"][...] = 0.0
+        han["emit_b"][3] = 1000.0
+        p = np.exp(_emission_log_probs(han, np.zeros(8)))
         assert np.isfinite(p).all()
         assert p[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_naive_softmax(self):
         ls, han = tiny_model(5)
         h = np.random.default_rng(6).normal(size=8)
-        logits = han.emit_w @ h + han.emit_b
+        logits = han["emit_w"] @ h + han["emit_b"]
         naive = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(emission_probs(han, h), naive, atol=1e-12)
+        np.testing.assert_allclose(np.exp(_emission_log_probs(han, h)), naive,
+                                   atol=1e-12)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_distribution_invariants(self, seed):
         ls, han = tiny_model(seed % 7)
         h = np.random.default_rng(seed).normal(size=8) * 5
-        p = emission_probs(han, h)
+        p = np.exp(_emission_log_probs(han, h))
         assert abs(p.sum() - 1.0) <= 1e-12
         assert (p > 0).all()
 
@@ -242,8 +244,8 @@ class TestEmission:
 class TestCoherenceLoss:
     def test_uniform_emission_value(self):
         ls, han = tiny_model()
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
+        han["emit_w"][...] = 0.0
+        han["emit_b"][...] = 0.0
         video, sentence = tiny_instance(m=3)
         loss = coherence_loss(han, ls, video, sentence)
         assert loss == pytest.approx((3 + 1) * np.log(10), abs=1e-9)
@@ -253,13 +255,13 @@ class TestCoherenceLoss:
         # token that is never a target only steals mass, so it must be worse
         ls, han = tiny_model()
         video, sentence = tiny_instance(m=2)
-        han.emit_w[...] = 0.0
+        han["emit_w"][...] = 0.0
         unused = next(t for t in range(2, 10) if t not in sentence.tokens)
-        han.emit_b[...] = 0.0
-        han.emit_b[1] = 3.0
+        han["emit_b"][...] = 0.0
+        han["emit_b"][1] = 3.0
         loss_end = coherence_loss(han, ls, video, sentence)
-        han.emit_b[...] = 0.0
-        han.emit_b[unused] = 3.0
+        han["emit_b"][...] = 0.0
+        han["emit_b"][unused] = 3.0
         loss_unused = coherence_loss(han, ls, video, sentence)
         assert loss_end < loss_unused
 
@@ -273,8 +275,9 @@ class TestCoherenceLoss:
         state = (enc.h0, enc.c0)
         expected = 0.0
         for token, target in zip((0,) + sentence.tokens, sentence.tokens + (1,)):
-            state = cell_step(han.decoder, ls.t_s[:, token], state)
-            expected -= np.log(emission_probs(han, state[0])[target])
+            state, _ = _cell_forward(han.group("decoder"), ls.t_s[:, token],
+                                     state)
+            expected -= _emission_log_probs(han, state[0])[target]
         assert loss == pytest.approx(expected, abs=1e-10)
 
     def test_permutation_sensitive(self):
@@ -293,25 +296,25 @@ class TestCoherenceLoss:
 class TestDecoding:
     def test_immediate_end_gives_empty_sentence(self):
         ls, han = tiny_model()
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
-        han.emit_b[1] = 50.0
+        han["emit_w"][...] = 0.0
+        han["emit_b"][...] = 0.0
+        han["emit_b"][1] = 50.0
         video, _ = tiny_instance()
         assert greedy_decode(han, ls, video) == ()
 
     def test_max_len_truncation(self):
         ls, han = tiny_model()
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
-        han.emit_b[4] = 50.0  # never emits #End
+        han["emit_w"][...] = 0.0
+        han["emit_b"][...] = 0.0
+        han["emit_b"][4] = 50.0  # never emits #End
         video, _ = tiny_instance()
         assert greedy_decode(han, ls, video, max_len=3) == (4, 4, 4)
 
     def test_start_symbol_never_emitted(self):
         ls, han = tiny_model()
-        han.emit_w[...] = 0.0
-        han.emit_b[...] = 0.0
-        han.emit_b[0] = 50.0  # favour #Start, which must be masked
+        han["emit_w"][...] = 0.0
+        han["emit_b"][...] = 0.0
+        han["emit_b"][0] = 50.0  # favour #Start, which must be masked
         video, _ = tiny_instance()
         tokens = greedy_decode(han, ls, video, max_len=4)
         assert 0 not in tokens and 1 not in tokens
@@ -348,9 +351,9 @@ class TestDecoding:
             total = 0.0
             prev = 0
             for w in list(tokens) + ([1] if len(tokens) < max_len else []):
-                state = cell_step(han.decoder, ls.t_s[:, prev], state)
-                p = emission_probs(han, state[0])
-                total += float(np.log(p[w]))
+                state, _ = _cell_forward(han.group("decoder"), ls.t_s[:, prev],
+                                         state)
+                total += float(_emission_log_probs(han, state[0])[w])
                 prev = w
             return total
 
@@ -371,7 +374,7 @@ class TestCoherenceGrad:
                                             han_mod.DEFAULT_STRATEGY)
         probs, targets = fwd[5], fwd[3]
         expected = sum(p - np.eye(10)[t] for p, t in zip(probs, targets))
-        grads, _, _ = coherence_grad(han, ls, video, sentence)
+        grads = coherence_grad(han, ls, video, sentence)
         np.testing.assert_allclose(grads["emit_b"], expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -379,16 +382,15 @@ class TestCoherenceGrad:
         ls, han = tiny_model(seed + 30)
         video, sentence = tiny_instance(seed + 30, n=5, m=2)
         strategy = even(3)
-        grads, g_tv, g_ts = coherence_grad(han, ls, video, sentence, strategy)
+        grads = coherence_grad(han, ls, video, sentence, strategy)
         eps = 1e-5
 
         def loss():
             return coherence_loss(han, ls, video, sentence, strategy)
 
-        arrays = [("t_v", ls.t_v, g_tv), ("t_s", ls.t_s, g_ts)] + \
-            [(name, arr, grads[name]) for name, arr in han_param_items(han)]
         rng = np.random.default_rng(seed)
-        for name, arr, grad in arrays:
+        for name, arr in han.items():
+            grad = grads[name]
             flat, gflat = arr.reshape(-1), grad.reshape(-1)
             # spot-check a subset of entries per group to keep runtime sane
             idxs = rng.choice(flat.size, size=min(6, flat.size), replace=False)
@@ -405,7 +407,27 @@ class TestCoherenceGrad:
                     f"{name}[{idx}]: analytic {gflat[idx]} vs numeric {numeric}"
 
 
+class TestParameterLayout:
+    def test_arrays_view_one_buffer_in_layout_order(self):
+        ls, han = tiny_model()
+        assert [(name, arr.shape) for name, arr in han.items()] == \
+            param_layout(6, 5, 10, 8, 5)
+        base = han.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in han.items():
+            assert np.shares_memory(arr, han.flat), name
+            assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+            offset += arr.size
+        assert offset == han.flat.size
+        assert ls.t_v is han["t_v"] and ls.t_s is han["t_s"]
+
+
 class TestCheckpoint:
+    def test_fixture_resaves_byte_for_byte(self, tmp_path):
+        path = tmp_path / "standard.lshn"
+        save_checkpoint(path, *load_checkpoint(FIXTURE))
+        assert path.read_bytes() == FIXTURE.read_bytes()
+
     def test_roundtrip(self, tmp_path):
         ls, han = tiny_model(17)
         path = tmp_path / "model.lshn"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.latent_space import (
-    AlignmentError, LatentSpaceParams, backtrack, dtw, pair_distance,
+    AlignmentError, LatentSpaceParams, backtrack, dtw,
     path_margin, project_sentence, project_video, relevance_grad,
     relevance_loss, window_policy,
 )
@@ -71,31 +71,33 @@ class TestProjections:
 
 
 class TestPairDistance:
+    """The clip-to-word distance, as a one-clip, one-word DTW table holds it."""
+
     def test_zero_at_equality(self):
-        x = np.array([1.0, -2.0])
-        assert pair_distance(x, x) == 0.0
+        x = np.array([[1.0, -2.0]])
+        assert dtw(x, x).total == 0.0
 
     def test_three_four_five(self):
-        assert pair_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+        assert dtw(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])).total == 5.0
 
     def test_matches_componentwise(self):
         rng = np.random.default_rng(4)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        assert pair_distance(a, b) == pytest.approx(
+        a, b = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
+        assert dtw(a, b).total == pytest.approx(
             np.sqrt(((a - b) ** 2).sum()), abs=1e-12)
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=4),
            st.floats(-3, 3))
     def test_translation_invariance(self, values, shift):
-        a = np.array(values)
-        b = a[::-1].copy()
+        a = np.array([values])
+        b = a[:, ::-1].copy()
         c = np.full_like(a, shift)
-        assert pair_distance(a + c, b + c) == pytest.approx(
-            pair_distance(a, b), abs=1e-9)
+        assert dtw(a + c, b + c).total == pytest.approx(dtw(a, b).total,
+                                                        abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pair_distance(np.zeros(2), np.zeros(3))
+            dtw(np.zeros((1, 2)), np.zeros((1, 3)))
 
 
 class TestDtw:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lshan import han as han_mod
+from lshan.han import Parameters
 from lshan import latent_space as ls_mod
 from lshan import trainer
 from lshan.corpus import (ClipFeatureSequence, Sentence, SyntheticConfig,
@@ -67,8 +68,8 @@ class TestJointLoss:
     def test_zero_emission_params_coherence_identity(self):
         batch = tiny_batch(3)
         state = tiny_state(seed=3)
-        state.han.emit_w[...] = 0.0
-        state.han.emit_b[...] = 0.0
+        state.han["emit_w"][...] = 0.0
+        state.han["emit_b"][...] = 0.0
         cfg = dataclasses.replace(TINY, lambda1=0.0, lambda2=0.0)
         _, _, coh, _ = joint_loss(batch, state.ls, state.han, cfg)
         expected = np.mean([(s.length + 1) * np.log(10) for _, s in batch])
@@ -127,13 +128,15 @@ class TestJointGrad:
 
 class TestClipAndStep:
     def test_clip_noop_below_threshold(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = Parameters([("a", (2,))])
+        grads["a"] = [0.3, 0.4]
         norm = clip_gradients(grads, 1.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 
     def test_clip_scales_to_max_norm(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        grads = Parameters([("a", (2,)), ("b", (1,))])
+        grads.flat[:] = [3.0, 0.0, 4.0]
         clip_gradients(grads, 1.0)
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total == pytest.approx(1.0)
@@ -141,27 +144,24 @@ class TestClipAndStep:
 
     def test_sgd_zero_rate_is_identity(self):
         state = tiny_state(seed=9)
-        before = {n: a.copy() for n, a in trainer._all_params(state.ls, state.han)}
-        grads = {n: np.ones_like(a) for n, a in
-                 trainer._all_params(state.ls, state.han)}
+        before = state.han.flat.copy()
+        grads = Parameters(state.han.layout)
+        grads.flat[:] = 1.0
         sgd_step(state, grads, 0.0)
-        for name, arr in trainer._all_params(state.ls, state.han):
-            np.testing.assert_array_equal(arr, before[name])
+        np.testing.assert_array_equal(state.han.flat, before)
 
     def test_sgd_closed_form(self):
         state = tiny_state(seed=10)
         before = state.ls.t_v.copy()
-        grads = {n: np.zeros_like(a) for n, a in
-                 trainer._all_params(state.ls, state.han)}
-        grads["t_v"] += 2.0
+        grads = Parameters(state.han.layout)
+        grads["t_v"] = 2.0
         sgd_step(state, grads, 0.25)
         np.testing.assert_allclose(state.ls.t_v, before - 0.5, atol=1e-15)
 
     def test_non_finite_update_diverges(self):
         state = tiny_state(seed=11)
-        grads = {n: np.zeros_like(a) for n, a in
-                 trainer._all_params(state.ls, state.han)}
-        grads["t_s"] += np.inf
+        grads = Parameters(state.han.layout)
+        grads["t_s"] = np.inf
         with pytest.raises(trainer.TrainingDiverged, match="t_s"):
             sgd_step(state, grads, 0.1)
 
@@ -170,10 +170,10 @@ class TestClipAndStep:
         batch = tiny_batch(12)
         state = tiny_state(seed=12)
         cfg = dataclasses.replace(TINY, lambda1=1.0, lambda2=0.01)
-        before = state.han.emit_w.copy()
+        before = state.han["emit_w"].copy()
         grads = joint_grad(batch, state.ls, state.han, cfg)
         sgd_step(state, grads, 0.5)
-        np.testing.assert_allclose(state.han.emit_w,
+        np.testing.assert_allclose(state.han["emit_w"],
                                    before * (1 - 2 * 0.5 * 0.01), atol=1e-12)
 
     def test_learning_rate_schedule(self):
@@ -191,7 +191,7 @@ class TestRegularizer:
         expected = float(np.sum(state.ls.t_v ** 2) + np.sum(state.ls.t_s ** 2)
                          + sum(np.sum(a ** 2)
                                for _, a in han_mod.han_param_items(state.han)))
-        assert regularizer(state.ls, state.han) == pytest.approx(expected)
+        assert regularizer(state.han) == pytest.approx(expected)
 
 
 class TestConfig:
