@@ -53,8 +53,7 @@ def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
 
 
 def _load_split(data_dir: Path, split: str) -> corpus_mod.Dataset:
-    vocab_path = data_dir / "vocab.txt"
-    vocab = corpus_mod.read_vocabulary(vocab_path) if vocab_path.exists() else None
+    vocab = corpus_mod.read_vocabulary(data_dir / "vocab.txt")
     return corpus_mod.load_dataset(data_dir / f"manifest_{split}.json", vocab)
 
 

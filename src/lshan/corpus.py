@@ -167,22 +167,6 @@ class SyntheticConfig:
             raise CorpusError("sentence-length range must satisfy 1 <= lo <= hi")
 
 
-def build_vocabulary(sentences: list[list[str]]) -> Vocabulary:
-    """First-occurrence-ordered vocabulary with the reserved symbols prepended."""
-    if not sentences:
-        raise CorpusError("cannot build a vocabulary from an empty corpus")
-    words: list[str] = [START_SYMBOL, END_SYMBOL]
-    seen = set(words)
-    for sentence in sentences:
-        for token in sentence:
-            if token in (START_SYMBOL, END_SYMBOL):
-                raise CorpusError(f"corpus uses reserved token {token!r}")
-            if token not in seen:
-                seen.add(token)
-                words.append(token)
-    return Vocabulary(tuple(words))
-
-
 def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> Dataset:
     """Prototype-per-word clips with Gaussian noise; deterministic given seed.
 
@@ -288,8 +272,7 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
     return manifest_path
 
 
-def load_dataset(manifest_path: Path | str,
-                 vocab: Vocabulary | None = None) -> Dataset:
+def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise CorpusError(f"manifest missing: {manifest_path}")
@@ -310,8 +293,6 @@ def load_dataset(manifest_path: Path | str,
         raise CorpusError(
             f"{manifest_path}: {len(manifest['features'])} feature files but "
             f"{len(token_lists)} annotated sentences")
-    if vocab is None:
-        vocab = build_vocabulary(token_lists)
     instances = []
     for idx, (rel, tokens) in enumerate(zip(manifest["features"], token_lists)):
         video = read_features(base / rel)

@@ -35,6 +35,10 @@ class EditBreakdown:
     def total(self) -> int:
         return self.substitutions + self.insertions + self.deletions
 
+    @property
+    def accuracy(self) -> float:
+        return 1.0 - self.total / self.reference_length
+
 
 def edit_breakdown(hyp, ref) -> EditBreakdown:
     """Minimal-edit S/I/D decomposition transforming ``hyp`` into ``ref``.
@@ -74,8 +78,7 @@ def edit_breakdown(hyp, ref) -> EditBreakdown:
 
 
 def accuracy(hyp, ref) -> float:
-    b = edit_breakdown(hyp, ref)
-    return 1.0 - b.total / b.reference_length
+    return edit_breakdown(hyp, ref).accuracy
 
 
 @dataclass
@@ -85,8 +88,11 @@ class InstanceResult:
     ref_length: int
     hyp_length: int
     breakdown: EditBreakdown
-    accuracy: float
     decode_seconds: float
+
+    @property
+    def accuracy(self) -> float:
+        return self.breakdown.accuracy
 
 
 @dataclass
@@ -120,9 +126,8 @@ def evaluate(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
         hyp = han_mod.greedy_decode(han, ls, video, strategy, max_len)
         elapsed = time.perf_counter() - start
         b = edit_breakdown(hyp, sentence.tokens)
-        acc = 1.0 - b.total / b.reference_length
         results.append(InstanceResult(idx, video.n, sentence.length, len(hyp),
-                                      b, acc, elapsed))
+                                      b, elapsed))
         agg_s += b.substitutions
         agg_i += b.insertions
         agg_d += b.deletions
@@ -166,10 +171,9 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
     distance to the video in the latent space, and reports the per-video
     Spearman correlation between decoder rank (descending probability) and
     distance. Videos yielding fewer than two distinct scoreable hypotheses, or
-    tied values that leave the correlation undefined, are skipped and counted.
+    whose distances all tie, leaving the correlation undefined, are skipped
+    and counted.
     """
-    from scipy.stats import spearmanr  # slow to import; only the probe needs it
-
     if k < 2:
         raise ValueError("probe needs k >= 2")
     rng = np.random.default_rng(seed)
@@ -189,12 +193,15 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
         if len({t for t, _, _ in scored}) < 2:
             skipped += 1
             continue
-        ranks = np.arange(1, len(scored) + 1)
-        distances = np.array([d for _, _, d in scored])
-        rho = spearmanr(ranks, distances).statistic
-        if not np.isfinite(rho):
+        _, inverse, counts = np.unique([d for _, _, d in scored],
+                                       return_inverse=True, return_counts=True)
+        if len(counts) < 2:
             skipped += 1
             continue
+        # Spearman: the Pearson correlation of the decoder ranks 1..L with
+        # the distances' ranks, tied distances sharing their average rank
+        distance_ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+        rho = np.corrcoef(np.arange(1, len(scored) + 1), distance_ranks)[0, 1]
         videos.append(ProbeVideo(int(vid), scored, float(rho)))
     mean = float(np.mean([v.correlation for v in videos])) if videos else float("nan")
     return ProbeReport(videos, mean, skipped, sample_count)

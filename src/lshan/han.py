@@ -154,8 +154,23 @@ class Parameters(Mapping):
     def __len__(self) -> int:
         return len(self._arrays)
 
+    # the dict's own views: Mapping's generic ones look every name up again,
+    # which the regularizer pays on every finite-difference probe
+    def items(self):
+        return self._arrays.items()
+
+    def values(self):
+        return self._arrays.values()
+
     def group(self, prefix: str) -> tuple[np.ndarray, ...]:
         return self._groups[prefix]
+
+    def first_non_finite(self) -> str | None:
+        """The first array in layout order holding a NaN or an infinity."""
+        if np.all(np.isfinite(self.flat)):
+            return None
+        return next(name for name, arr in self.items()
+                    if not np.all(np.isfinite(arr)))
 
 
 def init_params(rng: np.random.Generator, d_s: int, d_c: int, d_w: int,
@@ -203,27 +218,29 @@ def _cell_forward(cell, x, state=None):
         state = (np.zeros(q), np.zeros(q))
     h_prev, c_prev = state
     z = w @ x + u @ h_prev + b
-    i, f, o = _sigmoid(z[:q]), _sigmoid(z[q:2 * q]), _sigmoid(z[2 * q:3 * q])
+    ifo = _sigmoid(z[:3 * q])   # the input, forget and output gates
+    i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
     g = np.tanh(z[3 * q:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = (x, h_prev, c_prev, i, f, o, g, tc)
+    cache = (x, h_prev, c_prev, ifo, g, tc)
     return (h, c), cache
 
 
 def _cell_backward(cell, cache, dh, dc):
     """Given upstream dh, dc for one step, return param grads and input grads."""
     w, u, _ = cell
-    x, h_prev, c_prev, i, f, o, g, tc = cache
+    x, h_prev, c_prev, ifo, g, tc = cache
+    q = len(g)
+    i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
     do = dh * tc
     dc = dc + dh * o * (1.0 - tc * tc)
-    di, df, dg = dc * g, dc * c_prev, dc * i
     dc_prev = dc * f
-    dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                         do * o * (1 - o), dg * (1 - g * g)])
-    dw = np.outer(dz, x)
-    du = np.outer(dz, h_prev)
+    dz = np.concatenate([np.concatenate([dc * g, dc * c_prev, do])
+                         * ifo * (1 - ifo), dc * i * (1 - g * g)])
+    dw = dz[:, None] * x
+    du = dz[:, None] * h_prev
     dx = w.T @ dz
     dh_prev = u.T @ dz
     return dw, du, dz, dx, dh_prev, dc_prev
@@ -241,7 +258,8 @@ def _lstm_forward(cell, xs, state=None):
 
 
 def _lstm_backward(cell, caches, dhs, dcell):
-    """Accumulate the cell's grads into the views ``dcell``; return dxs."""
+    """Accumulate the cell's grads into the views ``dcell``; return
+    ``(dxs, dh0, dc0)``, the gradients of the inputs and the initial state."""
     gw, gu, gb = dcell
     q = cell[1].shape[1]
     dh = np.zeros(q)
@@ -253,7 +271,7 @@ def _lstm_backward(cell, caches, dhs, dcell):
         gu += du
         gb += db
         dxs[t] = dx
-    return dxs
+    return dxs, dh, dc
 
 
 def _bidir_forward(fwd, bwd, xs):
@@ -268,8 +286,8 @@ def _bidir_forward(fwd, bwd, xs):
 def _bidir_backward(fwd, bwd, caches, dhs, dfwd, dbwd):
     cf, cb = caches
     q = fwd[1].shape[1]
-    dxs_f = _lstm_backward(fwd, cf, dhs[:, :q], dfwd)
-    dxs_b = _lstm_backward(bwd, cb, dhs[::-1, q:], dbwd)
+    dxs_f, _, _ = _lstm_backward(fwd, cf, dhs[:, :q], dfwd)
+    dxs_b, _, _ = _lstm_backward(bwd, cb, dhs[::-1, q:], dbwd)
     return dxs_f + dxs_b[::-1]
 
 
@@ -383,22 +401,18 @@ def _coherence_forward(han: Parameters, ls: LatentSpaceParams,
     enc = encode_video(han, latent_clips, segment_clips(video.n, strategy))
     input_tokens = (START_INDEX,) + sentence.tokens
     targets = sentence.tokens + (END_INDEX,)
-    decoder = han.group("decoder")
-    state = (enc.h0, enc.c0)
-    dec_caches = []
+    hs, dec_caches = _lstm_forward(han.group("decoder"),
+                                   ls.t_s[:, input_tokens].T, (enc.h0, enc.c0))
     probs = []
     loss = 0.0
-    for token, target in zip(input_tokens, targets):
-        x = ls.t_s[:, token]
-        state, cache = _cell_forward(decoder, x, state)
+    for h, target in zip(hs, targets):
         # the gradient needs the emission probabilities themselves
-        logits = han["emit_w"] @ state[0] + han["emit_b"]
+        logits = han["emit_w"] @ h + han["emit_b"]
         e = np.exp(logits - logits.max())
         p = e / e.sum()
         loss -= float(np.log(p[target]))
-        dec_caches.append(cache)
         probs.append(p)
-    fwd = (latent_clips, enc, input_tokens, targets, dec_caches, probs, state)
+    fwd = (latent_clips, enc, input_tokens, targets, dec_caches, probs, hs)
     return loss, fwd
 
 
@@ -420,26 +434,21 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams,
     back through the raw clip features, word latents through their one-hots.
     """
     loss, fwd = _coherence_forward(han, ls, video, sentence, strategy)
-    latent_clips, enc, input_tokens, targets, dec_caches, probs, _ = fwd
+    latent_clips, enc, input_tokens, targets, dec_caches, probs, hs = fwd
     grads = Parameters(han.layout)
-    decoder, (gw, gu, gb) = han.group("decoder"), grads.group("decoder")
     g_emit_w, g_emit_b, g_ts = grads["emit_w"], grads["emit_b"], grads["t_s"]
-
-    q = decoder[1].shape[1]
-    dh, dc = np.zeros(q), np.zeros(q)
-    for t in range(len(dec_caches) - 1, -1, -1):
+    dhs = np.empty_like(hs)
+    for t in range(len(hs) - 1, -1, -1):
         dlogits = probs[t].copy()
         dlogits[targets[t]] -= 1.0
-        h_t = dec_caches[t][5] * dec_caches[t][7]  # o * tanh(c)
-        g_emit_w += np.outer(dlogits, h_t)
+        g_emit_w += np.outer(dlogits, hs[t])
         g_emit_b += dlogits
-        dh = dh + han["emit_w"].T @ dlogits
-        dw, du, db, dx, dh, dc = _cell_backward(decoder, dec_caches[t], dh, dc)
-        gw += dw
-        gu += du
-        gb += db
-        g_ts[:, input_tokens[t]] += dx
-    dlatent = _encode_backward(han, enc, dh, dc, grads, video.n)
+        dhs[t] = han["emit_w"].T @ dlogits
+    dxs, dh0, dc0 = _lstm_backward(han.group("decoder"), dec_caches, dhs,
+                                   grads.group("decoder"))
+    for t in range(len(dxs) - 1, -1, -1):
+        g_ts[:, input_tokens[t]] += dxs[t]
+    dlatent = _encode_backward(han, enc, dh0, dc0, grads, video.n)
     grads["t_v"] = dlatent.T @ video.clips
     return grads
 
@@ -466,19 +475,10 @@ def greedy_decode(han: Parameters, ls: LatentSpaceParams,
                   video: ClipFeatureSequence,
                   strategy: SegmentationStrategy = DEFAULT_STRATEGY,
                   max_len: int = 30) -> tuple[int, ...]:
-    """Most-probable-word decoding; stops at #End or max_len tokens."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    state = _decode_init(han, ls, video, strategy)
-    token = START_INDEX
-    out: list[int] = []
-    while len(out) < max_len:
-        state, log_p = _decode_step(han, ls, state, token)
-        token = int(np.argmax(log_p))
-        if token == END_INDEX:
-            break
-        out.append(token)
-    return tuple(out)
+    """Most-probable-word decoding, the k=1 beam; stops at #End or max_len
+    tokens."""
+    best = kbest_decode(han, ls, video, strategy, 1, max_len)
+    return best[0][0] if best else ()
 
 
 def kbest_decode(han: Parameters, ls: LatentSpaceParams,
@@ -489,36 +489,41 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     """Beam search; returns up to k (token tuple, log-probability), descending.
 
     A hypothesis finishes by emitting #End (its score includes that emission)
-    or by reaching max_len tokens. With k=1 this reproduces greedy decoding.
+    or by reaching max_len tokens. Ending competes for beam slots like any
+    other token, and equal scores go to the smaller token tuple, so k=1 is
+    greedy decoding.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    init = _decode_init(han, ls, video, strategy)
-    live = [(0.0, (), START_INDEX, init)]  # (score, tokens, last token, state)
+    # live hypotheses (tokens, score, state), all one length, sorted by tokens
+    live = [((), 0.0, _decode_init(han, ls, video, strategy))]
     finished: list[tuple[tuple[int, ...], float]] = []
+    n_words = ls.t_s.shape[1]
     for _ in range(max_len):
-        candidates = []
-        for score, tokens, last, state in live:
-            new_state, log_p = _decode_step(han, ls, state, last)
-            for w in range(len(log_p)):
-                if not np.isfinite(log_p[w]):
-                    continue
-                candidates.append(
-                    (score + float(log_p[w]), tokens + (w,), w, new_state))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        # ending a hypothesis competes for beam slots like any other token,
-        # which keeps k=1 identical to greedy decoding
-        live = []
-        for score, tokens, w, state in candidates[:k]:
+        steps = [_decode_step(han, ls, state, tokens[-1] if tokens else
+                              START_INDEX) for tokens, _, state in live]
+        # the scores of every extension, parent by parent
+        cand = np.concatenate([score + log_p for (_, score, _), (_, log_p)
+                               in zip(live, steps)])
+        # a stable sort over parents in token order breaks ties by tokens
+        best = np.argsort(-cand, kind="stable")[:k].tolist()
+        extended = []
+        for i in sorted(best):   # index order is token order
+            score = float(cand[i])
+            if not math.isfinite(score):
+                continue   # a masked extension, sorted last
+            parent, w = divmod(i, n_words)
+            tokens = live[parent][0] + (w,)
             if w == END_INDEX:
                 finished.append((tokens[:-1], score))
             else:
-                live.append((score, tokens, w, state))
+                extended.append((tokens, score, steps[parent][0]))
+        live = extended
         if not live:
             break
-    finished.extend((tokens, score) for score, tokens, _, _ in live)
+    finished.extend((tokens, score) for tokens, score, _ in live)
     finished.sort(key=lambda f: (-f[1], f[0]))
     return finished[:k]
 
@@ -571,4 +576,7 @@ def load_checkpoint(path: Path | str
                          f"describes {expected}")
     han = Parameters(layout, np.frombuffer(data, dtype="<f8", offset=36)
                      .astype(np.float64))
+    name = han.first_non_finite()
+    if name is not None:
+        raise ValueError(f"{path}: parameter {name!r} is not finite")
     return LatentSpaceParams(han["t_v"], han["t_s"]), han, strategy

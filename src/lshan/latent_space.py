@@ -41,10 +41,6 @@ class LatentSpaceParams:
         if not (np.all(np.isfinite(self.t_v)) and np.all(np.isfinite(self.t_s))):
             raise ValueError("projection matrices must be finite")
 
-    @property
-    def d_latent(self) -> int:
-        return self.t_v.shape[0]
-
 
 @dataclass(frozen=True)
 class WindowPolicy:

@@ -149,7 +149,8 @@ def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
 
 def regularizer(params: Parameters) -> float:
     # summed array by array: one dot product over the buffer rounds differently
-    return float(sum(np.sum(arr * arr) for arr in params.values()))
+    return float(sum(np.add.reduce(arr * arr, axis=None)
+                     for arr in params.values()))
 
 
 def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
@@ -172,27 +173,23 @@ def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
 
 
 def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
-               cfg: TrainingConfig, mask_relevance: bool = False,
-               mask_coherence: bool = False) -> Parameters:
+               cfg: TrainingConfig) -> Parameters:
     """Batch-mean gradient of the joint objective, in the layout of ``han``.
 
-    The mask flags drop a loss term entirely (used by diagnostics); with
-    lambda1 at an endpoint the inactive term is skipped exactly, so e.g. at
-    lambda1=1 the HAN parameters receive only the ridge gradient.
+    With lambda1 at an endpoint the inactive term is skipped exactly, so e.g.
+    at lambda1=1 the HAN parameters receive only the ridge gradient.
     """
     if not batch:
         raise ValueError("empty batch")
     grads = Parameters(han.layout)
-    use_rel = cfg.lambda1 > 0.0 and not mask_relevance
-    use_coh = cfg.lambda1 < 1.0 and not mask_coherence
     scale = 1.0 / len(batch)
     for video, sentence in batch:
-        if use_rel:
+        if cfg.lambda1 > 0.0:
             g_tv, g_ts = ls_mod.relevance_grad(
                 ls, video, sentence, _policy_for(video, sentence, cfg))
             grads["t_v"] += cfg.lambda1 * scale * g_tv
             grads["t_s"] += cfg.lambda1 * scale * g_ts
-        if use_coh:
+        if cfg.lambda1 < 1.0:
             coh = han_mod.coherence_grad(han, ls, video, sentence, cfg.strategy)
             w = (1.0 - cfg.lambda1) * scale
             grads.flat += w * coh.flat
@@ -204,7 +201,8 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
 def clip_gradients(grads: Parameters, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm."""
     # summed array by array, like ``regularizer``
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None))
+                        for g in grads.values()))
     if total > max_norm:
         grads.flat *= max_norm / total
     return total
@@ -213,9 +211,8 @@ def clip_gradients(grads: Parameters, max_norm: float) -> float:
 def sgd_step(state: TrainState, grads: Parameters, rate: float) -> TrainState:
     """In-place descent step p <- p - rate * g; aborts on non-finite results."""
     state.han.flat -= rate * grads.flat
-    if not np.all(np.isfinite(state.han.flat)):
-        name = next(name for name, arr in state.han.items()
-                    if not np.all(np.isfinite(arr)))
+    name = state.han.first_non_finite()
+    if name is not None:
         raise TrainingDiverged(f"parameter group {name!r} became non-finite")
     return state
 
@@ -242,7 +239,6 @@ def train(dataset: Dataset, cfg: TrainingConfig,
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    log_rows = []
     last_checkpoint: Path | None = None
 
     for epoch in range(cfg.epochs):
@@ -275,7 +271,6 @@ def train(dataset: Dataset, cfg: TrainingConfig,
         elapsed = time.perf_counter() - start
         state.history.append(EpochStats(rel, coh, reg, total, elapsed))
         state.epoch = epoch + 1
-        log_rows.append([epoch, rel, coh, reg, total, elapsed])
         if out_dir is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             last_checkpoint = out_dir / f"checkpoint_{epoch + 1:04d}.lshn"
@@ -288,7 +283,9 @@ def train(dataset: Dataset, cfg: TrainingConfig,
             writer = csv.writer(fh)
             writer.writerow(["epoch", "rel_loss", "coh_loss", "reg", "total",
                              "wall_seconds"])
-            writer.writerows(log_rows)
+            writer.writerows(
+                [epoch, e.relevance, e.coherence, e.regularizer, e.total,
+                 e.wall_seconds] for epoch, e in enumerate(state.history))
     return state
 
 
@@ -329,8 +326,7 @@ def _instance_degenerate(ls, video, sentence, policy,
 
 def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
                tolerance: float = 1e-4, loss: str = "joint",
-               samples_per_group: int | None = None,
-               _corrupt_group: str | None = None) -> GradCheckReport:
+               samples_per_group: int | None = None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss`` selects the differentiated objective: "joint", "relevance", or
@@ -338,9 +334,7 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
     distances) are skipped when the relevance term is active.
     ``samples_per_group`` caps how many entries of each parameter array get a
     finite-difference probe per instance (seeded, without replacement); None
-    checks every entry. The private ``_corrupt_group`` knob adds 1.0 to one
-    analytic gradient group so tests can confirm the checker flags exactly
-    that group.
+    checks every entry.
     """
     if loss not in ("joint", "relevance", "coherence"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -368,8 +362,6 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
         checked += 1
         batch = [(video, sentence)]
         grads = joint_grad(batch, ls, han, eff)
-        if _corrupt_group is not None:
-            grads[_corrupt_group] += 1.0
         for name, arr in han.items():
             flat = arr.reshape(-1)
             g_flat = grads[name].reshape(-1)

@@ -133,7 +133,8 @@ class TestTrainEval:
                    "--out", str(out)) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "instance_id,clip_index,word_index"
-        train = load_dataset(data_dir / "manifest_train.json")
+        train = load_dataset(data_dir / "manifest_train.json",
+                             read_vocabulary(data_dir / "vocab.txt"))
         total_clips = sum(v.n for v, _ in train.instances)
         assert len(lines) - 1 == total_clips
 
@@ -212,15 +213,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "truncated.lshn" in err and "buffer" not in err
 
+    def test_non_finite_checkpoint_is_usage_error(self, tmp_path, capsys):
+        data = bytearray(self.checkpoint_bytes(tmp_path))
+        data[-8:] = struct.pack("<d", float("nan"))   # the last emit_b entry
+        bad = tmp_path / "nan.lshn"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "data"
+        run(*synth_args(out))
+        assert run("eval", "--model", str(bad), "--data", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "nan.lshn" in err and "emit_b" in err
+
+    def test_missing_vocabulary_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.lshn"
+        model.write_bytes(self.checkpoint_bytes(tmp_path))
+        out = tmp_path / "data"
+        run(*synth_args(out))
+        (out / "vocab.txt").unlink()
+        assert run("eval", "--model", str(model), "--data", str(out)) == 2
+        assert "vocab.txt" in capsys.readouterr().err
+
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0
         out = capsys.readouterr().out
         assert "max_rel_err" in out and "FAIL" not in out
 
 
+PROBE_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import lshan.cli
+from lshan import corpus, evaluation, han
+data = corpus.generate_synthetic(
+    corpus.SyntheticConfig(vocab_size=6, feature_dim=5, instance_count=3))
+ls, model = han.init_params(np.random.default_rng(0), 4, 5, 8, 6, 4)
+report = evaluation.consistency_probe(ls, model, data, k=3, sample_count=3,
+                                      max_len=2)
+sys.exit(3 if not report.videos else "scipy" in sys.modules)
+"""
+
+
 def test_import_leaves_scipy_unloaded():
+    # importing the CLI and running a probe, which rank-correlates
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, lshan.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", PROBE_WITHOUT_SCIPY],
+                          env=env, timeout=120).returncode == 0

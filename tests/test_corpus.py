@@ -4,30 +4,11 @@ import pytest
 from lshan import corpus
 from lshan.corpus import (
     ClipFeatureSequence, CorpusError, Sentence, SyntheticConfig, Vocabulary,
-    build_vocabulary, generate_synthetic, load_dataset, read_features,
-    save_dataset, write_features,
+    generate_synthetic, load_dataset, read_features, save_dataset,
+    write_features,
 )
 
-
-class TestBuildVocabulary:
-    def test_first_occurrence_ordering(self):
-        vocab = build_vocabulary([["a", "b"], ["b", "c"]])
-        assert vocab.words == ("#Start", "#End", "a", "b", "c")
-        assert vocab.index_of == {"#Start": 0, "#End": 1, "a": 2, "b": 3, "c": 4}
-
-    def test_single_word_corpus(self):
-        assert build_vocabulary([["x"]]).size == 3
-
-    def test_deduplication(self):
-        assert build_vocabulary([["a", "a", "a"]]).size == 3
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(CorpusError):
-            build_vocabulary([])
-
-    def test_reserved_token_in_corpus_rejected(self):
-        with pytest.raises(CorpusError):
-            build_vocabulary([["#End"]])
+VOCAB = Vocabulary(("#Start", "#End", "a", "b", "c", "d", "e"))
 
 
 class TestTypes:
@@ -106,14 +87,13 @@ class TestFileFormats:
             np.testing.assert_array_equal(va.clips, vb.clips)
             assert sa == sb
 
-    def test_load_builds_vocab_when_absent(self, tmp_path):
-        ds = generate_synthetic(SyntheticConfig(instance_count=4, seed=9))
-        manifest = save_dataset(ds, tmp_path)
-        loaded = load_dataset(manifest)
-        # indices may differ (first-occurrence order) but sentences agree
-        for (_, sa), (_, sb) in zip(ds.instances, loaded.instances):
-            assert ds.vocabulary.decode(sa.tokens) == \
-                loaded.vocabulary.decode(sb.tokens)
+    def test_load_rejects_reserved_token(self, tmp_path):
+        write_features(tmp_path / "v.lshf", np.zeros((3, 2)))
+        (tmp_path / "ann.txt").write_text("a #End\n")
+        (tmp_path / "manifest.json").write_text(
+            '{"features": ["v.lshf"], "annotations": "ann.txt", "split": "train"}')
+        with pytest.raises(CorpusError, match="reserved"):
+            load_dataset(tmp_path / "manifest.json", VOCAB)
 
     def test_load_rejects_short_video(self, tmp_path):
         write_features(tmp_path / "v.lshf", np.zeros((3, 2)))
@@ -121,11 +101,11 @@ class TestFileFormats:
         (tmp_path / "manifest.json").write_text(
             '{"features": ["v.lshf"], "annotations": "ann.txt", "split": "train"}')
         with pytest.raises(CorpusError, match="instance 0"):
-            load_dataset(tmp_path / "manifest.json")
+            load_dataset(tmp_path / "manifest.json", VOCAB)
 
     def test_missing_feature_file(self, tmp_path):
         (tmp_path / "ann.txt").write_text("a\n")
         (tmp_path / "manifest.json").write_text(
             '{"features": ["gone.lshf"], "annotations": "ann.txt", "split": "test"}')
         with pytest.raises(CorpusError):
-            load_dataset(tmp_path / "manifest.json")
+            load_dataset(tmp_path / "manifest.json", VOCAB)

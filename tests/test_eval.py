@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,32 @@ class TestConsistencyProbe:
         r2 = consistency_probe(ls, han, ds, k=3, sample_count=4, seed=9)
         assert [v.video_id for v in r1.videos] == [v.video_id for v in r2.videos]
         assert r1.mean_correlation == r2.mean_correlation
+
+    def probe_with_distances(self, monkeypatch, distances):
+        """Probe one video whose four one-word hypotheses lie at
+        ``distances``."""
+        hyps = [((w,), -float(w)) for w in range(2, 6)]
+        lookup = dict(zip((t for t, _ in hyps), distances))
+        monkeypatch.setattr(han_mod, "kbest_decode", lambda *args: hyps)
+        monkeypatch.setattr(ev.ls_mod, "relevance_loss",
+                            lambda ls, video, s: lookup[s.tokens])
+        ds = tiny_dataset(1)
+        ls, han = tiny_model(ds)
+        return consistency_probe(ls, han, ds, k=4, sample_count=1)
+
+    def test_tied_distances_share_average_rank(self, monkeypatch):
+        report = self.probe_with_distances(monkeypatch, [1.0, 3.0, 1.0, 2.0])
+        # distance ranks (1.5, 4, 1.5, 3) against decoder ranks (1, 2, 3, 4):
+        # covariance sum 1, squared deviations 5 and 4.5
+        assert report.skipped == 0
+        assert report.videos[0].correlation == pytest.approx(
+            1.0 / np.sqrt(22.5), abs=1e-15)
+
+    def test_all_distances_tied_is_skipped(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = self.probe_with_distances(monkeypatch, [2.0] * 4)
+        assert report.videos == [] and report.skipped == 1
 
 
 class TestLambdaSweep:

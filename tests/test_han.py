@@ -320,12 +320,22 @@ class TestDecoding:
         assert 0 not in tokens and 1 not in tokens
 
     def test_beam_one_matches_greedy(self):
+        # the k=1 beam against a step-by-step argmax over the decoder
         for seed in range(8):
             ls, han = tiny_model(seed)
             video, _ = tiny_instance(seed)
-            greedy = greedy_decode(han, ls, video, max_len=6)
+            state = han_mod._decode_init(han, ls, video,
+                                         han_mod.DEFAULT_STRATEGY)
+            token, argmax_tokens = 0, []
+            while len(argmax_tokens) < 6:
+                state, log_p = han_mod._decode_step(han, ls, state, token)
+                token = int(np.argmax(log_p))
+                if token == 1:
+                    break
+                argmax_tokens.append(token)
             beam = kbest_decode(han, ls, video, k=1, max_len=6)
-            assert beam[0][0] == greedy
+            assert beam[0][0] == tuple(argmax_tokens)
+            assert greedy_decode(han, ls, video, max_len=6) == beam[0][0]
 
     def test_scores_non_increasing(self):
         ls, han = tiny_model(3)
@@ -364,6 +374,23 @@ class TestDecoding:
         assert [t for t, _ in results] == [t for t, _ in expected]
         for (ta, sa), (tb, sb) in zip(results, expected):
             assert sa == pytest.approx(sb, abs=1e-9)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_ties_break_by_tokens(self, k):
+        # zero emission parameters make every extension equally likely;
+        # #Start, #End and two words, so 7 sentences of at most 2 words
+        ls, han = tiny_model(11, d_w=4)
+        han["emit_w"] = 0.0
+        han["emit_b"] = 0.0
+        video, _ = tiny_instance(11, m=1, d_w=4)
+        log_p = -np.log(4.0)
+        expected = sorted(
+            [((), log_p)]
+            + [((w,), log_p + log_p) for w in (2, 3)]   # ended by #End
+            + [(pair, log_p + log_p)                     # cut at max_len
+               for pair in itertools.product((2, 3), repeat=2)],
+            key=lambda h: (-h[1], h[0]))
+        assert kbest_decode(han, ls, video, k=k, max_len=2) == expected[:k]
 
 
 class TestCoherenceGrad:

@@ -100,17 +100,18 @@ class TestJointGrad:
             assert not grads[name].any()
 
     def test_masks_drop_terms(self):
+        # the lambda1 endpoints drop one term each, and the terms add up
         batch = tiny_batch(6)
         state = tiny_state(seed=6)
-        cfg = dataclasses.replace(TINY, lambda1=0.5, lambda2=0.0)
-        both = joint_grad(batch, state.ls, state.han, cfg)
-        rel_only = joint_grad(batch, state.ls, state.han, cfg,
-                              mask_coherence=True)
-        coh_only = joint_grad(batch, state.ls, state.han, cfg,
-                              mask_relevance=True)
+
+        def grad(lambda1):
+            cfg = dataclasses.replace(TINY, lambda1=lambda1, lambda2=0.0)
+            return joint_grad(batch, state.ls, state.han, cfg)
+
+        both, rel_only, coh_only = grad(0.5), grad(1.0), grad(0.0)
         for name in both:
             np.testing.assert_allclose(both[name],
-                                       rel_only[name] + coh_only[name],
+                                       0.5 * (rel_only[name] + coh_only[name]),
                                        atol=1e-12)
 
     def test_batch_mean_linearity(self):
@@ -310,8 +311,15 @@ class TestGradCheck:
                             loss="coherence")
         assert report.passed
 
-    def test_detects_corrupted_gradient(self):
-        report = grad_check(self.make_instances(3), self.cfg(),
-                            _corrupt_group="t_s")
+    def test_detects_corrupted_gradient(self, monkeypatch):
+        exact = trainer.joint_grad
+
+        def corrupted(*args):
+            grads = exact(*args)
+            grads["t_s"] += 1.0
+            return grads
+
+        monkeypatch.setattr(trainer, "joint_grad", corrupted)
+        report = grad_check(self.make_instances(3), self.cfg())
         assert not report.passed
         assert report.failed == ["t_s"]
