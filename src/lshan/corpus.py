@@ -207,6 +207,20 @@ def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> Dataset:
 # file I/O
 # ---------------------------------------------------------------------------
 
+def read_text(path: Path, what: str,
+              error: type[ValueError] = CorpusError) -> str:
+    """The UTF-8 text of ``what`` at ``path``; a missing file, a directory or
+    bytes that are not UTF-8 raise ``error`` naming the path."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} missing: {path}") from None
+    except IsADirectoryError:
+        raise error(f"{what} is a directory: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {what} is not UTF-8 ({exc.reason})") from None
+
+
 def write_features(path: Path | str, clips: np.ndarray) -> None:
     clips = np.asarray(clips)
     n, dim = clips.shape
@@ -219,8 +233,8 @@ def write_features(path: Path | str, clips: np.ndarray) -> None:
 
 def read_features(path: Path | str) -> ClipFeatureSequence:
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"feature file missing: {path}")
+    if not path.is_file():
+        raise CorpusError(f"feature file missing or not a file: {path}")
     data = path.read_bytes()
     if len(data) < 16 or data[:4] != FEATURE_MAGIC:
         raise CorpusError(f"{path}: not a feature file (bad magic)")
@@ -242,10 +256,7 @@ def write_vocabulary(path: Path | str, vocab: Vocabulary) -> None:
 
 
 def read_vocabulary(path: Path | str) -> Vocabulary:
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"vocabulary file missing: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(Path(path), "vocabulary file").splitlines()
     return Vocabulary(tuple(lines))
 
 
@@ -274,32 +285,27 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
 
 def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise CorpusError(f"manifest missing: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text(manifest_path, "manifest"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{manifest_path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("features", "annotations", "split"):
         if key not in manifest:
             raise CorpusError(f"{manifest_path}: manifest lacks key {key!r}")
+    features, annotations = manifest["features"], manifest["annotations"]
+    if not isinstance(features, list) or not isinstance(annotations, str) \
+            or not all(isinstance(rel, str) for rel in features):
+        raise CorpusError(f"{manifest_path}: 'features' must be a list of "
+                          "paths and 'annotations' a path")
     base = manifest_path.parent
-    ann_path = base / manifest["annotations"]
-    if not ann_path.exists():
-        raise CorpusError(f"annotation file missing: {ann_path}")
-    lines = ann_path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(base / annotations, "annotation file").splitlines()
     token_lists = [line.split() for line in lines if line.strip()]
-    if len(token_lists) != len(manifest["features"]):
+    if len(token_lists) != len(features):
         raise CorpusError(
-            f"{manifest_path}: {len(manifest['features'])} feature files but "
+            f"{manifest_path}: {len(features)} feature files but "
             f"{len(token_lists)} annotated sentences")
-    instances = []
-    for idx, (rel, tokens) in enumerate(zip(manifest["features"], token_lists)):
-        video = read_features(base / rel)
-        sentence = vocab.encode(tokens)
-        if video.n < sentence.length:
-            raise CorpusError(
-                f"instance {idx} ({rel}): {video.n} clips < "
-                f"{sentence.length} words")
-        instances.append((video, sentence))
-    return Dataset(tuple(instances), vocab, manifest["split"])
+    instances = tuple((read_features(base / rel), vocab.encode(tokens))
+                      for rel, tokens in zip(features, token_lists))
+    return Dataset(instances, vocab, manifest["split"])

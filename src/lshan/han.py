@@ -15,6 +15,7 @@ gradients are validated against central finite differences in the test suite.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -328,10 +329,9 @@ def _attention_backward(params, cache, dout, dparams):
 
 @dataclass
 class EncodedVideo:
-    h0: np.ndarray           # decoder initial hidden state
-    c0: np.ndarray           # decoder initial cell state
-    video_vector: np.ndarray  # pooled 2q representation
-    cache: tuple
+    h0: np.ndarray  # decoder initial hidden state
+    c0: np.ndarray  # decoder initial cell state
+    cache: tuple    # ends with the pooled 2q video vector
 
 
 def encode_video(params: Parameters, latent_clips: np.ndarray,
@@ -356,7 +356,7 @@ def encode_video(params: Parameters, latent_clips: np.ndarray,
     c0 = params["init_c.w"] @ video_vector + params["init_c.b"]
     cache = (segmentation, seg_caches, word_bid_cache, word_att_cache,
              video_vector)
-    return EncodedVideo(h0, c0, video_vector, cache)
+    return EncodedVideo(h0, c0, cache)
 
 
 def _encode_backward(params: Parameters, enc: EncodedVideo, dh0, dc0,
@@ -427,8 +427,8 @@ def coherence_loss(han: Parameters, ls: LatentSpaceParams,
 def coherence_grad(han: Parameters, ls: LatentSpaceParams,
                    video: ClipFeatureSequence, sentence: Sentence,
                    strategy: SegmentationStrategy = DEFAULT_STRATEGY
-                   ) -> Parameters:
-    """Reverse-mode gradients of the coherence loss, in the layout of ``han``.
+                   ) -> tuple[float, Parameters]:
+    """The coherence loss and its reverse-mode gradients, laid out like ``han``.
 
     Input gradients reach the projections as outer products: clip latents map
     back through the raw clip features, word latents through their one-hots.
@@ -450,7 +450,7 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams,
         g_ts[:, input_tokens[t]] += dxs[t]
     dlatent = _encode_backward(han, enc, dh0, dc0, grads, video.n)
     grads["t_v"] = dlatent.T @ video.clips
-    return grads
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +546,22 @@ def save_checkpoint(path: Path | str, ls: LatentSpaceParams, han: Parameters,
     d_w = ls.t_s.shape[1]
     q = han["decoder.u"].shape[1]
     q_att = han["clip_att.proj"].shape[0]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIIIIII", CHECKPOINT_VERSION, d_c, d_w, d_s,
-                             q, q_att, _STRATEGY_CODES[strategy.kind],
-                             strategy.k))
-        fh.write(han.flat.astype("<f8").tobytes())
+    tmp = Path(f"{path}.tmp")   # renamed over ``path`` once whole
+    try:
+        tmp.write_bytes(CHECKPOINT_MAGIC + struct.pack(
+            "<IIIIIIII", CHECKPOINT_VERSION, d_c, d_w, d_s, q, q_att,
+            _STRATEGY_CODES[strategy.kind], strategy.k)
+            + han.flat.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: Path | str
                     ) -> tuple[LatentSpaceParams, Parameters, SegmentationStrategy]:
     path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path}: a directory, not a model checkpoint")
     data = path.read_bytes()
     if len(data) < 36 or data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")

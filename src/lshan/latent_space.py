@@ -34,13 +34,6 @@ class LatentSpaceParams:
     t_v: np.ndarray  # (d_s, d_c) video projection
     t_s: np.ndarray  # (d_s, d_w) word projection
 
-    def __post_init__(self):
-        if self.t_v.ndim != 2 or self.t_s.ndim != 2 \
-                or self.t_v.shape[0] != self.t_s.shape[0]:
-            raise ValueError("projection matrices must share the latent dimension")
-        if not (np.all(np.isfinite(self.t_v)) and np.all(np.isfinite(self.t_s))):
-            raise ValueError("projection matrices must be finite")
-
 
 @dataclass(frozen=True)
 class WindowPolicy:
@@ -53,8 +46,6 @@ class WindowPolicy:
 
     lo: tuple[int, ...]  # first feasible clip per word
     hi: tuple[int, ...]  # last feasible clip per word
-    window_len: int
-    overlap: int
 
     def feasible_mask(self, n: int) -> np.ndarray:
         m = len(self.lo)
@@ -66,9 +57,8 @@ class WindowPolicy:
 
 @dataclass(frozen=True)
 class DtwTable:
-    costs: np.ndarray     # (n, m) accumulated costs, +inf where infeasible
-    dist: np.ndarray      # (n, m) pairwise latent distances
-    feasible: np.ndarray  # (n, m) bool mask
+    costs: np.ndarray  # (n, m) accumulated costs, +inf where infeasible
+    dist: np.ndarray   # (n, m) pairwise latent distances
 
     @property
     def total(self) -> float:
@@ -130,7 +120,7 @@ def window_policy(n: int, m: int) -> WindowPolicy:
         lo[j] = max(lo[j], lo[j - 1])
         hi[j] = max(hi[j], hi[j - 1])
         lo[j] = min(lo[j], hi[j - 1] + 1)
-    return WindowPolicy(tuple(lo), tuple(hi), length, overlap)
+    return WindowPolicy(tuple(lo), tuple(hi))
 
 
 def dtw(v_latent: np.ndarray, s_latent: np.ndarray,
@@ -162,7 +152,7 @@ def dtw(v_latent: np.ndarray, s_latent: np.ndarray,
         costs[i] = row
     if not np.isfinite(costs[n - 1, m - 1]):
         raise AlignmentError("feasible region admits no monotone path")
-    return DtwTable(costs, dist, feasible)
+    return DtwTable(costs, dist)
 
 
 def backtrack(table: DtwTable) -> AlignmentPath:
@@ -182,29 +172,24 @@ def backtrack(table: DtwTable) -> AlignmentPath:
     return AlignmentPath(tuple(pairs))
 
 
-def _project_pair(params: LatentSpaceParams, video: ClipFeatureSequence,
-                  sentence: Sentence) -> tuple[np.ndarray, np.ndarray]:
-    return (project_video(params.t_v, video),
-            project_sentence(params.t_s, sentence))
-
-
 def relevance_loss(params: LatentSpaceParams, video: ClipFeatureSequence,
                    sentence: Sentence,
                    policy: WindowPolicy | None = None) -> float:
-    v_lat, s_lat = _project_pair(params, video, sentence)
-    return dtw(v_lat, s_lat, policy).total
+    return dtw(project_video(params.t_v, video),
+               project_sentence(params.t_s, sentence), policy).total
 
 
 def relevance_grad(params: LatentSpaceParams, video: ClipFeatureSequence,
                    sentence: Sentence, policy: WindowPolicy | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Subgradients of the relevance loss w.r.t. the two projections.
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The relevance loss and its subgradients w.r.t. the two projections.
 
     The min is differentiated through the tie-broken argmin path; along it
     d(i,j) = ||T_v v_i - T_s s_j|| contributes (u v_i^T, -u e_{s_j}^T) with
     u = (T_v v_i - T_s s_j) / d(i,j), and zero where d(i,j) vanishes.
     """
-    v_lat, s_lat = _project_pair(params, video, sentence)
+    v_lat = project_video(params.t_v, video)
+    s_lat = project_sentence(params.t_s, sentence)
     table = dtw(v_lat, s_lat, policy)
     path = backtrack(table)
     g_tv = np.zeros_like(params.t_v)
@@ -217,7 +202,7 @@ def relevance_grad(params: LatentSpaceParams, video: ClipFeatureSequence,
         unit = (v_lat[i] - s_lat[j]) / d
         g_tv += np.outer(unit, clips[i])
         g_ts[:, sentence.tokens[j]] -= unit
-    return g_tv, g_ts
+    return table.total, g_tv, g_ts
 
 
 def path_margin(table: DtwTable, path: AlignmentPath) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import han as han_mod
 from . import latent_space as ls_mod
-from .corpus import ClipFeatureSequence, Dataset, Sentence
+from .corpus import ClipFeatureSequence, Dataset, Sentence, read_text
 from .han import Parameters, SegmentationStrategy, parse_strategy, save_checkpoint
 from .latent_space import LatentSpaceParams
 
@@ -106,10 +106,7 @@ def parse_config(text: str) -> TrainingConfig:
 
 
 def load_config(path: Path | str) -> TrainingConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file missing: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+    return parse_config(read_text(Path(path), "config file", ConfigError))
 
 
 def format_config(cfg: TrainingConfig) -> str:
@@ -178,23 +175,30 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
 
     With lambda1 at an endpoint the inactive term is skipped exactly, so e.g.
     at lambda1=1 the HAN parameters receive only the ridge gradient.
+    ``grads.losses`` holds the batch's summed per-instance losses
+    ``(relevance, coherence)`` from the same passes; a skipped term sums to 0.
     """
     if not batch:
         raise ValueError("empty batch")
     grads = Parameters(han.layout)
     scale = 1.0 / len(batch)
+    rel_sum = coh_sum = 0.0
     for video, sentence in batch:
         if cfg.lambda1 > 0.0:
-            g_tv, g_ts = ls_mod.relevance_grad(
+            rel, g_tv, g_ts = ls_mod.relevance_grad(
                 ls, video, sentence, _policy_for(video, sentence, cfg))
+            rel_sum += rel
             grads["t_v"] += cfg.lambda1 * scale * g_tv
             grads["t_s"] += cfg.lambda1 * scale * g_ts
         if cfg.lambda1 < 1.0:
-            coh = han_mod.coherence_grad(han, ls, video, sentence, cfg.strategy)
+            coh, g_coh = han_mod.coherence_grad(han, ls, video, sentence,
+                                                cfg.strategy)
+            coh_sum += coh
             w = (1.0 - cfg.lambda1) * scale
-            grads.flat += w * coh.flat
+            grads.flat += w * g_coh.flat
     if cfg.lambda2 > 0.0:
         grads.flat += 2.0 * cfg.lambda2 * han.flat
+    grads.losses = (rel_sum, coh_sum)
     return grads
 
 
@@ -231,7 +235,11 @@ def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
 def train(dataset: Dataset, cfg: TrainingConfig,
           out_dir: Path | str | None = None,
           log_path: Path | str | None = None) -> TrainState:
-    """Seeded SGD over shuffled batches; optional checkpoints and CSV loss log."""
+    """Seeded SGD over shuffled batches; optional checkpoints and CSV loss log.
+
+    An epoch's ``rel_loss``/``coh_loss`` average each instance's loss from the
+    pass that made its gradient, before its batch's step; ``reg`` is taken at
+    the end of the epoch, and ``total`` weighs the three as the objective."""
     if len(dataset) == 0:
         raise ValueError("training split is empty")
     d_c = dataset.instances[0][0].dim
@@ -249,18 +257,13 @@ def train(dataset: Dataset, cfg: TrainingConfig,
         for lo in range(0, len(order), cfg.batch_size):
             batch = [dataset.instances[i] for i in order[lo:lo + cfg.batch_size]]
             grads = joint_grad(batch, state.ls, state.han, cfg)
+            rel_sum += grads.losses[0]
+            coh_sum += grads.losses[1]
             clip_gradients(grads, cfg.max_grad_norm)
             try:
                 sgd_step(state, grads, rate)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(str(exc), last_checkpoint) from None
-            for video, sentence in batch:
-                if cfg.lambda1 > 0.0:
-                    rel_sum += ls_mod.relevance_loss(
-                        state.ls, video, sentence, _policy_for(video, sentence, cfg))
-                if cfg.lambda1 < 1.0:
-                    coh_sum += han_mod.coherence_loss(
-                        state.han, state.ls, video, sentence, cfg.strategy)
         rel = rel_sum / len(dataset)
         coh = coh_sum / len(dataset)
         reg = regularizer(state.han)

@@ -233,6 +233,59 @@ class TestExitCodes:
         assert run("eval", "--model", str(model), "--data", str(out)) == 2
         assert "vocab.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,code,message", [
+        ("features_not_a_list", 2, "'features' must be a list of paths"),
+        ("feature_path_a_number", 2, "'features' must be a list of paths"),
+        ("feature_path_a_directory", 2, "feature file missing or not a file"),
+        ("annotations_a_directory", 2, "annotation file is a directory"),
+        ("vocabulary_not_utf8", 2, "vocabulary file is not UTF-8"),
+        ("annotations_not_utf8", 2, "annotation file is not UTF-8"),
+        ("config_not_utf8", 2, "config file is not UTF-8"),
+        ("config_a_directory", 2, "config file is a directory"),
+        ("model_a_directory", 1, "a directory, not a model checkpoint"),
+    ])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, case, code,
+                                       message):
+        data = tmp_path / "data"
+        run(*synth_args(data))
+        model = tmp_path / "model.lshn"
+        model.write_bytes(self.checkpoint_bytes(tmp_path))
+        config = write_config(tmp_path)
+        manifest_path = data / "manifest_test.json"
+        manifest = json.loads(manifest_path.read_text())
+        if case == "features_not_a_list":
+            manifest["features"] = 5
+        elif case == "feature_path_a_number":
+            manifest["features"][0] = 5
+        elif case == "feature_path_a_directory":
+            manifest["features"][0] = "features"
+        elif case == "annotations_a_directory":
+            manifest["annotations"] = "features"
+        elif case == "vocabulary_not_utf8":
+            (data / "vocab.txt").write_bytes(b"#Start\n#End\nw\xff\n")
+        elif case == "annotations_not_utf8":
+            (data / manifest["annotations"]).write_bytes(b"w\xff w01\n")
+        elif case == "config_not_utf8":
+            config.write_bytes(b"epochs = 2\xff\n")
+        elif case == "config_a_directory":
+            config.unlink()
+            config.mkdir()
+        else:
+            model.unlink()
+            model.mkdir()
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        if case.startswith("config"):
+            got = run("train", "--config", str(config), "--data", str(data),
+                      "--out", str(tmp_path / "m"))
+        else:
+            got = run("eval", "--model", str(model), "--data", str(data),
+                      "--out", str(tmp_path / "report.csv"))
+        assert got == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert err.startswith("data error: " if code == 2 else "usage error: ")
+
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0
         out = capsys.readouterr().out

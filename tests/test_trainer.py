@@ -272,6 +272,29 @@ class TestTrain:
         assert "checkpoint_0002.lshn" in names
         assert "checkpoint_0004.lshn" in names
 
+    def test_runs_no_loss_only_pass(self, monkeypatch):
+        # the logged losses come from the passes that make the gradients
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train() ran a loss-only forward pass")
+
+        monkeypatch.setattr(ls_mod, "relevance_loss", forbidden)
+        monkeypatch.setattr(han_mod, "coherence_loss", forbidden)
+        state = train(tiny_dataset(4), TINY)
+        assert len(state.history) == TINY.epochs
+
+    def test_logs_pre_step_losses(self):
+        # one batch per epoch: epoch 0 logs the loss at the initial parameters
+        ds = tiny_dataset(5)
+        cfg = dataclasses.replace(TINY, batch_size=len(ds))
+        initial = init_state(cfg, ds.instances[0][0].dim, ds.vocabulary.size)
+        _, rel, coh, _ = joint_loss(ds.instances, initial.ls, initial.han, cfg)
+        state = train(ds, cfg)
+        first = state.history[0]
+        assert first.relevance == pytest.approx(rel, rel=1e-12, abs=0)
+        assert first.coherence == pytest.approx(coh, rel=1e-12, abs=0)
+        # the regularizer is taken at the end of the epoch
+        assert state.history[-1].regularizer == regularizer(state.han)
+
     def test_loss_decreases_on_tiny_problem(self):
         ds = tiny_dataset(3, count=3)
         cfg = dataclasses.replace(TINY, epochs=12, learning_rate=0.1,
