@@ -61,7 +61,6 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     cfg = corpus_mod.SyntheticConfig(
         vocab_size=args.vocab_size, feature_dim=args.feature_dim,
-        latent_dim=args.latent_dim,
         clips_per_word=(args.clips_per_word_min, args.clips_per_word_max),
         noise_std=args.noise,
         sentence_length=(args.sentence_len_min, args.sentence_len_max),
@@ -138,7 +137,7 @@ def _cmd_align(args) -> int:
 def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     synth = corpus_mod.SyntheticConfig(
-        vocab_size=8, feature_dim=5, latent_dim=6, clips_per_word=(1, 2),
+        vocab_size=8, feature_dim=5, clips_per_word=(1, 2),
         noise_std=0.3, sentence_length=(1, 3), instance_count=args.instances,
         seed=int(rng.integers(2 ** 31)))
     dataset = corpus_mod.generate_synthetic(synth)
@@ -196,7 +195,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=20)
     p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--latent-dim", type=int, default=16)
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--val-instances", type=int, default=20)
     p.add_argument("--test-instances", type=int, default=20)

@@ -146,7 +146,6 @@ class SyntheticConfig:
 
     vocab_size: int = 20          # content words, excluding the 2 reserved symbols
     feature_dim: int = 16
-    latent_dim: int = 16
     clips_per_word: tuple[int, int] = (2, 4)
     noise_std: float = 0.1
     sentence_length: tuple[int, int] = (3, 7)
@@ -154,8 +153,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < 1 or self.feature_dim < 1 or self.latent_dim < 1 \
-                or self.instance_count < 1:
+        if min(self.vocab_size, self.feature_dim, self.instance_count) < 1:
             raise CorpusError("all synthetic counts must be positive")
         if self.noise_std < 0:
             raise CorpusError("noise standard deviation must be >= 0")

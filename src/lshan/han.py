@@ -536,14 +536,12 @@ CHECKPOINT_MAGIC = b"LSHN"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path: Path | str, ls: LatentSpaceParams, han: Parameters,
+def save_checkpoint(path: Path | str, han: Parameters,
                     strategy: SegmentationStrategy) -> None:
     """Binary checkpoint: magic, version, dimension header, then the parameter
-    buffer as float64 LE in ``param_layout`` order. ``ls`` must view ``han``."""
-    if ls.t_v is not han["t_v"] or ls.t_s is not han["t_s"]:
-        raise ValueError("the latent projections are not views of the parameters")
-    d_s, d_c = ls.t_v.shape
-    d_w = ls.t_s.shape[1]
+    buffer as float64 LE in ``param_layout`` order."""
+    d_s, d_c = han["t_v"].shape
+    d_w = han["t_s"].shape[1]
     q = han["decoder.u"].shape[1]
     q_att = han["clip_att.proj"].shape[0]
     tmp = Path(f"{path}.tmp")   # renamed over ``path`` once whole
@@ -562,6 +560,8 @@ def load_checkpoint(path: Path | str
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"{path}: a directory, not a model checkpoint")
+    if not path.exists():
+        raise ValueError(f"{path}: no such model checkpoint")
     data = path.read_bytes()
     if len(data) < 36 or data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")

@@ -48,11 +48,8 @@ class WindowPolicy:
     hi: tuple[int, ...]  # last feasible clip per word
 
     def feasible_mask(self, n: int) -> np.ndarray:
-        m = len(self.lo)
-        mask = np.zeros((n, m), dtype=bool)
-        for j in range(m):
-            mask[self.lo[j]:self.hi[j] + 1, j] = True
-        return mask
+        clip = np.arange(n)[:, None]
+        return (clip >= np.array(self.lo)) & (clip <= np.array(self.hi))
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,11 @@ class AlignmentPath:
     pairs: tuple[tuple[int, int], ...]
 
 
-def project_video(t_v: np.ndarray, video: ClipFeatureSequence | np.ndarray) -> np.ndarray:
-    clips = video.clips if isinstance(video, ClipFeatureSequence) else np.asarray(video)
-    if clips.shape[1] != t_v.shape[1]:
+def project_video(t_v: np.ndarray, video: ClipFeatureSequence) -> np.ndarray:
+    if video.dim != t_v.shape[1]:
         raise ValueError(
-            f"feature dim {clips.shape[1]} does not match projection {t_v.shape}")
-    return clips @ t_v.T
+            f"feature dim {video.dim} does not match projection {t_v.shape}")
+    return video.clips @ t_v.T
 
 
 def project_sentence(t_s: np.ndarray, sentence: Sentence) -> np.ndarray:
@@ -134,22 +130,19 @@ def dtw(v_latent: np.ndarray, s_latent: np.ndarray,
     diff = v_latent[:, None, :] - s_latent[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-    # word j is unreachable before clip j (one clip consumed per step)
-    feasible = np.arange(n)[:, None] >= np.arange(m)[None, :]
-    if policy is not None:
-        feasible &= policy.feasible_mask(n)
+    outside = None if policy is None else ~policy.feasible_mask(n)
 
+    # word j is unreachable before clip j with no mask: row 0 is +inf beyond
+    # (0, 0), and min(inf, inf) + d stays inf down the rows
     costs = np.full((n, m), np.inf)
-    if feasible[0, 0]:
-        costs[0, 0] = dist[0, 0]
+    costs[0, 0] = dist[0, 0]
     for i in range(1, n):
-        prev = costs[i - 1]
-        row = np.full(m, np.inf)
+        prev, row = costs[i - 1], costs[i]
         row[0] = prev[0] + dist[i, 0]
-        if m > 1:
-            row[1:] = np.minimum(prev[1:], prev[:-1]) + dist[i, 1:]
-        row[~feasible[i]] = np.inf
-        costs[i] = row
+        np.minimum(prev[1:], prev[:-1], out=row[1:])
+        row[1:] += dist[i, 1:]
+        if outside is not None:
+            row[outside[i]] = np.inf
     if not np.isfinite(costs[n - 1, m - 1]):
         raise AlignmentError("feasible region admits no monotone path")
     return DtwTable(costs, dist)

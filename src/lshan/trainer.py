@@ -132,7 +132,6 @@ class EpochStats:
 class TrainState:
     ls: LatentSpaceParams
     han: Parameters   # the whole parameter buffer; ``ls`` views part of it
-    epoch: int
     history: list[EpochStats] = field(default_factory=list)
     rng: np.random.Generator | None = None
 
@@ -229,7 +228,7 @@ def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
     ls, han = han_mod.init_params(rng, cfg.latent_dim, d_c, d_w,
                                   cfg.hidden_size, cfg.attention_size)
-    return TrainState(ls, han, epoch=0, rng=rng)
+    return TrainState(ls, han, rng=rng)
 
 
 def train(dataset: Dataset, cfg: TrainingConfig,
@@ -273,14 +272,13 @@ def train(dataset: Dataset, cfg: TrainingConfig,
                 f"loss became non-finite at epoch {epoch}", last_checkpoint)
         elapsed = time.perf_counter() - start
         state.history.append(EpochStats(rel, coh, reg, total, elapsed))
-        state.epoch = epoch + 1
         if out_dir is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
             last_checkpoint = out_dir / f"checkpoint_{epoch + 1:04d}.lshn"
-            save_checkpoint(last_checkpoint, state.ls, state.han, cfg.strategy)
+            save_checkpoint(last_checkpoint, state.han, cfg.strategy)
 
     if out_dir is not None:
-        save_checkpoint(out_dir / "final.lshn", state.ls, state.han, cfg.strategy)
+        save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
     if log_path is not None:
         with open(log_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -20,7 +20,7 @@ def run(*argv):
 
 def synth_args(out, instances=4, val=2, test=2, seed=0):
     return ["synth", "--out", str(out), "--seed", str(seed),
-            "--vocab-size", "6", "--feature-dim", "5", "--latent-dim", "4",
+            "--vocab-size", "6", "--feature-dim", "5",
             "--instances", str(instances), "--val-instances", str(val),
             "--test-instances", str(test), "--sentence-len-min", "2",
             "--sentence-len-max", "3"]
@@ -185,9 +185,9 @@ class TestExitCodes:
         assert run("eval", "--model", str(junk), "--data", str(out)) == 1
 
     def checkpoint_bytes(self, tmp_path):
-        ls, han = han_mod.init_params(np.random.default_rng(0), 4, 5, 8, 6, 4)
+        _, han = han_mod.init_params(np.random.default_rng(0), 4, 5, 8, 6, 4)
         path = tmp_path / "model.lshn"
-        han_mod.save_checkpoint(path, ls, han, han_mod.DEFAULT_STRATEGY)
+        han_mod.save_checkpoint(path, han, han_mod.DEFAULT_STRATEGY)
         return path.read_bytes()
 
     # an unknown strategy code, and even-k with k = 0
@@ -243,6 +243,7 @@ class TestExitCodes:
         ("config_not_utf8", 2, "config file is not UTF-8"),
         ("config_a_directory", 2, "config file is a directory"),
         ("model_a_directory", 1, "a directory, not a model checkpoint"),
+        ("model_missing", 1, "model.lshn: no such model checkpoint"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, case, code,
                                        message):
@@ -270,6 +271,8 @@ class TestExitCodes:
         elif case == "config_a_directory":
             config.unlink()
             config.mkdir()
+        elif case == "model_missing":
+            model.unlink()
         else:
             model.unlink()
             model.mkdir()

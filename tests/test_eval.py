@@ -88,7 +88,7 @@ class TestEditBreakdown:
 
 def tiny_dataset(n_instances=4, seed=0):
     return generate_synthetic(
-        SyntheticConfig(vocab_size=6, feature_dim=5, latent_dim=4,
+        SyntheticConfig(vocab_size=6, feature_dim=5,
                         sentence_length=(2, 3), instance_count=n_instances,
                         seed=seed), "test")
 

@@ -453,13 +453,14 @@ class TestParameterLayout:
 class TestCheckpoint:
     def test_fixture_resaves_byte_for_byte(self, tmp_path):
         path = tmp_path / "standard.lshn"
-        save_checkpoint(path, *load_checkpoint(FIXTURE))
+        _, han, strategy = load_checkpoint(FIXTURE)
+        save_checkpoint(path, han, strategy)
         assert path.read_bytes() == FIXTURE.read_bytes()
 
     def test_roundtrip(self, tmp_path):
         ls, han = tiny_model(17)
         path = tmp_path / "model.lshn"
-        save_checkpoint(path, ls, han, even(5))
+        save_checkpoint(path, han, even(5))
         ls2, han2, strategy = load_checkpoint(path)
         assert strategy == even(5)
         np.testing.assert_array_equal(ls.t_v, ls2.t_v)
@@ -469,9 +470,9 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
 
     def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
-        ls, han = tiny_model(18)
+        _, han = tiny_model(18)
         path = tmp_path / "model.lshn"
-        save_checkpoint(path, ls, han, even(5))
+        save_checkpoint(path, han, even(5))
         before = path.read_bytes()
         han.flat += 1.0
 
@@ -480,7 +481,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(han_mod.os, "replace", fail)
         with pytest.raises(OSError, match="rename failed"):
-            save_checkpoint(path, ls, han, even(5))
+            save_checkpoint(path, han, even(5))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.lshn"]
 

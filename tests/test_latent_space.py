@@ -27,6 +27,24 @@ def brute_force_dtw(dist: np.ndarray, feasible=None) -> float:
     return best
 
 
+def loop_dtw_costs(dist: np.ndarray, feasible=None) -> np.ndarray:
+    """The recurrence cell by cell: +inf where j > i or outside the band."""
+    n, m = dist.shape
+    costs = np.full((n, m), np.inf)
+    for i in range(n):
+        for j in range(min(i, m - 1) + 1):
+            if feasible is not None and not feasible[i, j]:
+                continue
+            if i == 0:
+                costs[i, j] = dist[i, j]
+            elif j == 0:
+                costs[i, j] = costs[i - 1, j] + dist[i, j]
+            else:
+                costs[i, j] = min(costs[i - 1, j], costs[i - 1, j - 1]) \
+                    + dist[i, j]
+    return costs
+
+
 def random_latents(rng, n, m, d):
     return rng.normal(size=(n, d)), rng.normal(size=(m, d))
 
@@ -34,17 +52,18 @@ def random_latents(rng, n, m, d):
 class TestProjections:
     def test_identity_video_projection(self):
         clips = np.random.default_rng(0).normal(size=(4, 3))
-        np.testing.assert_array_equal(project_video(np.eye(3), clips), clips)
+        video = ClipFeatureSequence(clips)
+        np.testing.assert_array_equal(project_video(np.eye(3), video), clips)
 
     def test_zero_projection(self):
-        clips = np.ones((4, 3))
-        assert not project_video(np.zeros((2, 3)), clips).any()
+        video = ClipFeatureSequence(np.ones((4, 3)))
+        assert not project_video(np.zeros((2, 3)), video).any()
 
     def test_video_rows_match_matvec(self):
         rng = np.random.default_rng(1)
         t_v = rng.normal(size=(3, 2))
         clips = rng.normal(size=(4, 2))
-        out = project_video(t_v, clips)
+        out = project_video(t_v, ClipFeatureSequence(clips))
         for i in range(4):
             np.testing.assert_allclose(out[i], t_v @ clips[i], atol=1e-12)
 
@@ -67,7 +86,7 @@ class TestProjections:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            project_video(np.zeros((2, 3)), np.zeros((4, 5)))
+            project_video(np.zeros((2, 3)), ClipFeatureSequence(np.zeros((4, 5))))
 
 
 class TestPairDistance:
@@ -117,6 +136,20 @@ class TestDtw:
         table = dtw(v, s)
         assert np.isinf(table.costs[0, 1:]).all()
         assert np.isinf(table.costs[1, 2])  # j > i is unreachable
+
+    def test_whole_table_matches_cell_loop(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (6, 1), (5, 5), (9, 9)] + [
+            (n, int(rng.integers(1, n + 1)))
+            for n in rng.integers(1, 20, size=40)]
+        for n, m in shapes:
+            v, s = random_latents(rng, n, m, 3)
+            policy = window_policy(n, m)
+            for pol, feasible in ((None, None),
+                                  (policy, policy.feasible_mask(n))):
+                table = dtw(v, s, pol)
+                assert np.array_equal(table.costs,
+                                      loop_dtw_costs(table.dist, feasible))
 
     def test_rejects_more_words_than_clips(self):
         rng = np.random.default_rng(6)

@@ -235,7 +235,7 @@ class TestConfig:
 
 def tiny_dataset(seed=0, count=4):
     return generate_synthetic(
-        SyntheticConfig(vocab_size=6, feature_dim=5, latent_dim=4,
+        SyntheticConfig(vocab_size=6, feature_dim=5,
                         sentence_length=(2, 3), instance_count=count,
                         seed=seed))
 
