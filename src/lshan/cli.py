@@ -128,8 +128,8 @@ def _cmd_align(args) -> int:
             v_lat = ls_mod.project_video(ls.t_v, video)
             s_lat = ls_mod.project_sentence(ls.t_s, sentence)
             path = ls_mod.backtrack(ls_mod.dtw(v_lat, s_lat, policy))
-            for i, j in path.pairs:
-                writer.writerow([idx, i, j])
+            writer.writerows((idx, i, j)
+                             for i, j in enumerate(path.words.tolist()))
     _write_run_manifest(out.parent, "align", vars(args))
     return EXIT_OK
 

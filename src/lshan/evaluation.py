@@ -105,12 +105,12 @@ class EvalReport:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["instance_id", "n", "m", "hyp_len", "S", "I", "D",
-                             "accuracy"])
+                             "accuracy", "decode_seconds"])
             for r in self.results:
                 writer.writerow([r.instance_id, r.n_clips, r.ref_length,
                                  r.hyp_length, r.breakdown.substitutions,
                                  r.breakdown.insertions, r.breakdown.deletions,
-                                 f"{r.accuracy:.6f}"])
+                                 f"{r.accuracy:.6f}", f"{r.decode_seconds:.6f}"])
 
 
 def evaluate(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,

@@ -64,9 +64,14 @@ class DtwTable:
 
 @dataclass(frozen=True)
 class AlignmentPath:
-    """Monotone clip-to-word assignment; one pair per clip, 0-based."""
+    """Monotone clip-to-word assignment, 0-based: clip i aligns to word words[i]."""
 
-    pairs: tuple[tuple[int, int], ...]
+    words: np.ndarray  # (n,) int, nondecreasing, from 0 to m-1
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The path as (clip, word) pairs of Python ints, one per clip."""
+        return tuple(enumerate(self.words.tolist()))
 
 
 def project_video(t_v: np.ndarray, video: ClipFeatureSequence) -> np.ndarray:
@@ -154,15 +159,14 @@ def backtrack(table: DtwTable) -> AlignmentPath:
     n, m = costs.shape
     if not np.isfinite(costs[n - 1, m - 1]):
         raise AlignmentError("cannot backtrack an infeasible table")
-    i, j = n - 1, m - 1
-    pairs = [(i, j)]
-    while i > 0:
+    words = np.empty(n, dtype=np.intp)
+    j = m - 1
+    for i in range(n - 1, 0, -1):
+        words[i] = j
         if j > 0 and costs[i - 1, j - 1] <= costs[i - 1, j]:
             j -= 1
-        i -= 1
-        pairs.append((i, j))
-    pairs.reverse()
-    return AlignmentPath(tuple(pairs))
+    words[0] = j
+    return AlignmentPath(words)
 
 
 def relevance_loss(params: LatentSpaceParams, video: ClipFeatureSequence,
@@ -180,21 +184,25 @@ def relevance_grad(params: LatentSpaceParams, video: ClipFeatureSequence,
     The min is differentiated through the tie-broken argmin path; along it
     d(i,j) = ||T_v v_i - T_s s_j|| contributes (u v_i^T, -u e_{s_j}^T) with
     u = (T_v v_i - T_s s_j) / d(i,j), and zero where d(i,j) vanishes.
+
+    The whole path is taken at once, yet each sum runs in path order from
+    zero, as a per-cell loop of ``+=`` and ``-=`` would: ``np.add.reduce``
+    over the leading axis adds the outer products cell after cell, and
+    ``np.subtract.at`` applies a repeated token's updates in clip order. So
+    the result is bit-identical to that loop.
     """
     v_lat = project_video(params.t_v, video)
     s_lat = project_sentence(params.t_s, sentence)
     table = dtw(v_lat, s_lat, policy)
-    path = backtrack(table)
-    g_tv = np.zeros_like(params.t_v)
+    jj = backtrack(table).words
+    ii = np.arange(jj.size)
+    d = table.dist[ii, jj]
+    keep = d >= DEGENERATE_DISTANCE
+    ii, jj, d = ii[keep], jj[keep], d[keep]
+    unit = (v_lat[ii] - s_lat[jj]) / d[:, None]
+    g_tv = np.add.reduce(unit[:, :, None] * video.clips[ii][:, None, :], axis=0)
     g_ts = np.zeros_like(params.t_s)
-    clips = video.clips
-    for i, j in path.pairs:
-        d = table.dist[i, j]
-        if d < DEGENERATE_DISTANCE:
-            continue
-        unit = (v_lat[i] - s_lat[j]) / d
-        g_tv += np.outer(unit, clips[i])
-        g_ts[:, sentence.tokens[j]] -= unit
+    np.subtract.at(g_ts.T, np.asarray(sentence.tokens)[jj], unit)
     return table.total, g_tv, g_ts
 
 
@@ -204,14 +212,12 @@ def path_margin(table: DtwTable, path: AlignmentPath) -> float:
     Small margins flag points where the argmin path is not unique and the loss
     is non-differentiable; gradient checks skip them.
     """
-    margin = np.inf
-    for i, j in path.pairs:
-        if i > 0 and j > 0:
-            a, b = table.costs[i - 1, j], table.costs[i - 1, j - 1]
-            if np.isfinite(a) and np.isfinite(b):
-                margin = min(margin, abs(a - b))
-    return float(margin)
+    i = np.flatnonzero(path.words)  # word j > 0 needs clip i >= j > 0
+    j = path.words[i]
+    a, b = table.costs[i - 1, j], table.costs[i - 1, j - 1]
+    gaps = np.abs(a - b)[np.isfinite(a) & np.isfinite(b)]
+    return float(gaps.min(initial=np.inf))
 
 
 def min_path_distance(table: DtwTable, path: AlignmentPath) -> float:
-    return float(min(table.dist[i, j] for i, j in path.pairs))
+    return float(table.dist[np.arange(path.words.size), path.words].min())

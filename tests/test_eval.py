@@ -128,8 +128,11 @@ class TestEvaluate:
         path = tmp_path / "eval.csv"
         report.write_csv(path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "instance_id,n,m,hyp_len,S,I,D,accuracy"
+        assert lines[0] == ("instance_id,n,m,hyp_len,S,I,D,accuracy,"
+                            "decode_seconds")
         assert len(lines) == 5
+        for line, r in zip(lines[1:], report.results):
+            assert line.split(",")[-1] == f"{r.decode_seconds:.6f}"
 
 
 class TestConsistencyProbe:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.latent_space import (
-    AlignmentError, LatentSpaceParams, backtrack, dtw,
-    path_margin, project_sentence, project_video, relevance_grad,
-    relevance_loss, window_policy,
+    DEGENERATE_DISTANCE, AlignmentError, LatentSpaceParams, backtrack, dtw,
+    min_path_distance, path_margin, project_sentence, project_video,
+    relevance_grad, relevance_loss, window_policy,
 )
 
 
@@ -47,6 +47,65 @@ def loop_dtw_costs(dist: np.ndarray, feasible=None) -> np.ndarray:
 
 def random_latents(rng, n, m, d):
     return rng.normal(size=(n, d)), rng.normal(size=(m, d))
+
+
+def loop_relevance_grad(params, video, sentence, policy=None):
+    """The relevance gradient pair by pair along backtrack's path, from zero."""
+    v_lat = project_video(params.t_v, video)
+    s_lat = project_sentence(params.t_s, sentence)
+    table = dtw(v_lat, s_lat, policy)
+    g_tv = np.zeros_like(params.t_v)
+    g_ts = np.zeros_like(params.t_s)
+    for i, j in backtrack(table).pairs:
+        d = table.dist[i, j]
+        if d < DEGENERATE_DISTANCE:
+            continue
+        unit = (v_lat[i] - s_lat[j]) / d
+        g_tv += np.outer(unit, video.clips[i])
+        g_ts[:, sentence.tokens[j]] -= unit
+    return table.total, g_tv, g_ts
+
+
+def loop_path_margin(table, path):
+    margin = np.inf
+    for i, j in path.pairs:
+        if i > 0 and j > 0:
+            a, b = table.costs[i - 1, j], table.costs[i - 1, j - 1]
+            if np.isfinite(a) and np.isfinite(b):
+                margin = min(margin, abs(a - b))
+    return float(margin)
+
+
+def loop_min_path_distance(table, path):
+    return float(min(table.dist[i, j] for i, j in path.pairs))
+
+
+def relevance_case(rng, n, m):
+    """Random projections, clips and a sentence over three tokens, so tokens
+    repeat. A fifth of the clips are exactly zero. A third of the cases lie on
+    the integer grid {-1, 0, 1}, where clip and word latents coincide, and a
+    1e-10 nudge of some clips leaves distances just above zero."""
+    if rng.random() < 1 / 3:
+        def draw(shape):
+            return rng.integers(-1, 2, size=shape).astype(float)
+        t_v, t_s = draw((2, 2)), draw((2, 5))
+        clips = draw((n, 2)) + rng.choice([0.0, 1e-10], size=(n, 2))
+    else:
+        t_v, t_s = rng.normal(size=(3, 4)), rng.normal(size=(3, 5))
+        clips = rng.normal(size=(n, 4))
+    clips[rng.random(n) < 0.2] = 0.0
+    tokens = tuple(int(t) for t in rng.integers(2, 5, size=m))
+    return (LatentSpaceParams(t_v, t_s), ClipFeatureSequence(clips),
+            Sentence(tokens))
+
+
+def relevance_shapes(rng, count):
+    """n = m, m = 1 and n = 1 first, then random n >= m."""
+    shapes = [(1, 1), (4, 4), (9, 9), (6, 1), (12, 1)]
+    while len(shapes) < count:
+        n = int(rng.integers(1, 13))
+        shapes.append((n, int(rng.integers(1, n + 1))))
+    return shapes
 
 
 class TestProjections:
@@ -219,6 +278,25 @@ class TestBacktrack:
             cost = sum(table.dist[i, j] for i, j in path.pairs)
             assert cost == pytest.approx(table.total, abs=1e-9)
 
+    def test_path_statistics_match_pair_loops(self):
+        rng = np.random.default_rng(18)
+        no_choice = 0
+        for n, m in relevance_shapes(rng, 600):
+            params, video, sentence = relevance_case(rng, n, m)
+            v = project_video(params.t_v, video)
+            s = project_sentence(params.t_s, sentence)
+            for policy in (None, window_policy(n, m)):
+                table = dtw(v, s, policy)
+                path = backtrack(table)
+                margin = path_margin(table, path)
+                assert margin == loop_path_margin(table, path)
+                assert min_path_distance(table, path) \
+                    == loop_min_path_distance(table, path)
+                no_choice += margin == np.inf
+                if m == 1 or n == m:
+                    assert margin == np.inf
+        assert 100 < no_choice < 1200
+
 
 class TestWindowPolicy:
     def test_spec_example_n8_m2(self):
@@ -289,6 +367,27 @@ class TestRelevance:
         np.testing.assert_allclose(g_tv, np.outer(unit, clip), atol=1e-12)
         np.testing.assert_allclose(g_ts[:, 3], -unit, atol=1e-12)
         assert not g_ts[:, :3].any()
+
+    def test_matches_path_loop(self):
+        rng = np.random.default_rng(19)
+        below = nudged = 0
+        for n, m in relevance_shapes(rng, 1200):
+            params, video, sentence = relevance_case(rng, n, m)
+            for policy in (None, window_policy(n, m)):
+                got = relevance_grad(params, video, sentence, policy)
+                want = loop_relevance_grad(params, video, sentence, policy)
+                assert np.float64(got[0]).tobytes() \
+                    == np.float64(want[0]).tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2].tobytes() == want[2].tobytes()
+            table = dtw(project_video(params.t_v, video),
+                        project_sentence(params.t_s, sentence))
+            path_dist = table.dist[np.arange(n), backtrack(table).words]
+            below += (path_dist < DEGENERATE_DISTANCE).any()
+            nudged += ((path_dist > 0) & (path_dist < DEGENERATE_DISTANCE)).any()
+        # the degenerate-distance filter must have dropped cells, some of
+        # them at a distance that is small but not zero
+        assert below > 100 and nudged > 20
 
     def test_finite_differences(self):
         rng = np.random.default_rng(16)
