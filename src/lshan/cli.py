@@ -57,6 +57,20 @@ def _load_split(data_dir: Path, split: str) -> corpus_mod.Dataset:
     return corpus_mod.load_dataset(data_dir / f"manifest_{split}.json", vocab)
 
 
+def _load_model_and_split(args):
+    """``(ls, han, strategy, dataset)``: ``--model`` under ``--strategy`` if
+    given, and the split of ``--data`` it reads, which must share its words."""
+    ls, han, strategy = han_mod.load_checkpoint(args.model)
+    if getattr(args, "strategy", None):
+        strategy = han_mod.parse_strategy(args.strategy)
+    dataset = _load_split(Path(args.data), args.split)
+    words, vocab = ls.t_s.shape[1], dataset.vocabulary.size
+    if words != vocab:
+        raise ValueError(f"{args.model}: the checkpoint has {words} words, but "
+                         f"{Path(args.data) / 'vocab.txt'} has {vocab}")
+    return ls, han, strategy, dataset
+
+
 def _cmd_synth(args) -> int:
     out = Path(args.out)
     cfg = corpus_mod.SyntheticConfig(
@@ -96,15 +110,12 @@ def _cmd_train(args) -> int:
     (out / "config.cfg").write_text(trainer_mod.format_config(cfg),
                                     encoding="utf-8")
     _write_run_manifest(out, "train", {**vars(args), "seed": cfg.seed})
-    trainer_mod.train(dataset, cfg, out_dir=out, log_path=out / "training_log.csv")
+    trainer_mod.train(dataset, cfg, out_dir=out)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    ls, han, ckpt_strategy = han_mod.load_checkpoint(args.model)
-    strategy = han_mod.parse_strategy(args.strategy) if args.strategy \
-        else ckpt_strategy
-    dataset = _load_split(Path(args.data), args.split)
+    ls, han, strategy, dataset = _load_model_and_split(args)
     report = eval_mod.evaluate(ls, han, dataset, strategy, args.max_len)
     out = Path(args.out)
     report.write_csv(out)
@@ -116,8 +127,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    ls, _, _ = han_mod.load_checkpoint(args.model)
-    dataset = _load_split(Path(args.data), args.split)
+    ls, _, _, dataset = _load_model_and_split(args)
     out = Path(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -154,10 +164,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    ls, han, ckpt_strategy = han_mod.load_checkpoint(args.model)
-    strategy = han_mod.parse_strategy(args.strategy) if args.strategy \
-        else ckpt_strategy
-    dataset = _load_split(Path(args.data), args.split)
+    ls, han, strategy, dataset = _load_model_and_split(args)
     report = eval_mod.consistency_probe(ls, han, dataset, k=args.k,
                                         sample_count=args.samples,
                                         seed=args.seed, strategy=strategy,

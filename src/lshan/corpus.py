@@ -165,7 +165,7 @@ class SyntheticConfig:
             raise CorpusError("sentence-length range must satisfy 1 <= lo <= hi")
 
 
-def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> Dataset:
+def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     """Prototype-per-word clips with Gaussian noise; deterministic given seed.
 
     Each content word owns one fixed prototype vector; a word emits a uniform
@@ -198,7 +198,7 @@ def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> Dataset:
         sentence = Sentence(tuple(int(w) + 2 for w in word_ids))
         instances.append((ClipFeatureSequence(clips), sentence))
         alignments.append(tuple(alignment))
-    return Dataset(tuple(instances), vocab, split, tuple(alignments))
+    return Dataset(tuple(instances), vocab, alignments=tuple(alignments))
 
 
 # ---------------------------------------------------------------------------

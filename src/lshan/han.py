@@ -388,32 +388,38 @@ def _encode_backward(params: Parameters, enc: EncodedVideo, dh0, dc0,
 # emission and coherence loss
 # ---------------------------------------------------------------------------
 
-def _emission_log_probs(params, h_t):
-    logits = params["emit_w"] @ h_t + params["emit_b"]
-    logits = logits - logits.max()
-    return logits - np.log(np.exp(logits).sum())
+def _encode(han: Parameters, ls: LatentSpaceParams, video: ClipFeatureSequence,
+            strategy: SegmentationStrategy) -> EncodedVideo:
+    """The latent projection of ``video``, encoded under ``strategy``."""
+    return encode_video(han, project_video(ls.t_v, video),
+                        segment_clips(video.n, strategy))
+
+
+def _emission(han: Parameters, hs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The vocabulary log-softmax of one decoder state or a (T, q) stack of
+    them, and the softmax as ``e / total``: ``(log_probs, e, total)``.
+    Decoding reads only the log-probabilities, so it skips the division."""
+    w = han["emit_w"]
+    stack = hs.ndim > 1
+    # a stack takes one gemv per state, which rounds exactly like ``w @ h``
+    logits = ((w @ hs[..., None])[..., 0] if stack else w @ hs) + han["emit_b"]
+    shifted = logits - logits.max(axis=-1, keepdims=stack)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=stack)
+    return shifted - np.log(total), e, total
 
 
 def _coherence_forward(han: Parameters, ls: LatentSpaceParams,
                        video: ClipFeatureSequence, sentence: Sentence,
                        strategy: SegmentationStrategy):
-    latent_clips = project_video(ls.t_v, video)
-    enc = encode_video(han, latent_clips, segment_clips(video.n, strategy))
-    input_tokens = (START_INDEX,) + sentence.tokens
+    enc = _encode(han, ls, video, strategy)
+    input_tokens = np.array((START_INDEX,) + sentence.tokens)
     targets = sentence.tokens + (END_INDEX,)
     hs, dec_caches = _lstm_forward(han.group("decoder"),
                                    ls.t_s[:, input_tokens].T, (enc.h0, enc.c0))
-    probs = []
-    loss = 0.0
-    for h, target in zip(hs, targets):
-        # the gradient needs the emission probabilities themselves
-        logits = han["emit_w"] @ h + han["emit_b"]
-        e = np.exp(logits - logits.max())
-        p = e / e.sum()
-        loss -= float(np.log(p[target]))
-        probs.append(p)
-    fwd = (latent_clips, enc, input_tokens, targets, dec_caches, probs, hs)
-    return loss, fwd
+    log_probs, e, total = _emission(han, hs)
+    loss = -float(log_probs[np.arange(len(targets)), targets].sum())
+    return loss, (enc, input_tokens, targets, dec_caches, e / total, hs)
 
 
 def coherence_loss(han: Parameters, ls: LatentSpaceParams,
@@ -432,22 +438,19 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams,
 
     Input gradients reach the projections as outer products: clip latents map
     back through the raw clip features, word latents through their one-hots.
+    Per-step terms sum from zero in reverse step order, as backprop visits them.
     """
     loss, fwd = _coherence_forward(han, ls, video, sentence, strategy)
-    latent_clips, enc, input_tokens, targets, dec_caches, probs, hs = fwd
+    enc, input_tokens, targets, dec_caches, dlogits, hs = fwd
     grads = Parameters(han.layout)
-    g_emit_w, g_emit_b, g_ts = grads["emit_w"], grads["emit_b"], grads["t_s"]
-    dhs = np.empty_like(hs)
-    for t in range(len(hs) - 1, -1, -1):
-        dlogits = probs[t].copy()
-        dlogits[targets[t]] -= 1.0
-        g_emit_w += np.outer(dlogits, hs[t])
-        g_emit_b += dlogits
-        dhs[t] = han["emit_w"].T @ dlogits
+    dlogits[np.arange(len(targets)), targets] -= 1.0   # probs - one-hot
+    grads["emit_w"] = np.add.reduce(
+        (dlogits[:, :, None] * hs[:, None, :])[::-1], axis=0)
+    grads["emit_b"] = np.add.reduce(dlogits[::-1], axis=0)
+    dhs = (han["emit_w"].T @ dlogits[..., None])[..., 0]
     dxs, dh0, dc0 = _lstm_backward(han.group("decoder"), dec_caches, dhs,
                                    grads.group("decoder"))
-    for t in range(len(dxs) - 1, -1, -1):
-        g_ts[:, input_tokens[t]] += dxs[t]
+    np.add.at(grads["t_s"].T, input_tokens[::-1], dxs[::-1])
     dlatent = _encode_backward(han, enc, dh0, dc0, grads, video.n)
     grads["t_v"] = dlatent.T @ video.clips
     return loss, grads
@@ -457,16 +460,9 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams,
 # decoding
 # ---------------------------------------------------------------------------
 
-def _decode_init(han, ls, video, strategy):
-    latent_clips = project_video(ls.t_v, video)
-    enc = encode_video(han, latent_clips, segment_clips(video.n, strategy))
-    return enc.h0, enc.c0
-
-
 def _decode_step(han, ls, state, token):
-    x = ls.t_s[:, token]
-    (h, c), _ = _cell_forward(han.group("decoder"), x, state)
-    log_p = _emission_log_probs(han, h)
+    (h, c), _ = _cell_forward(han.group("decoder"), ls.t_s[:, token], state)
+    log_p, _, _ = _emission(han, h)
     log_p[START_INDEX] = -np.inf  # the start symbol is never emitted
     return (h, c), log_p
 
@@ -498,7 +494,8 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     # live hypotheses (tokens, score, state), all one length, sorted by tokens
-    live = [((), 0.0, _decode_init(han, ls, video, strategy))]
+    enc = _encode(han, ls, video, strategy)
+    live = [((), 0.0, (enc.h0, enc.c0))]
     finished: list[tuple[tuple[int, ...], float]] = []
     n_words = ls.t_s.shape[1]
     for _ in range(max_len):
@@ -569,6 +566,9 @@ def load_checkpoint(path: Path | str
         "<IIIIIIII", data[4:36])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if 0 in (d_c, d_w, d_s, q, q_att):
+        raise ValueError(f"{path}: a zero dimension in the header (d_c={d_c}, "
+                         f"d_w={d_w}, d_s={d_s}, q={q}, q_att={q_att})")
     try:
         strategy = SegmentationStrategy(_STRATEGY_KINDS[strat_code], strat_k)
     except (KeyError, ValueError):

@@ -232,9 +232,9 @@ def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
 
 
 def train(dataset: Dataset, cfg: TrainingConfig,
-          out_dir: Path | str | None = None,
-          log_path: Path | str | None = None) -> TrainState:
-    """Seeded SGD over shuffled batches; optional checkpoints and CSV loss log.
+          out_dir: Path | str | None = None) -> TrainState:
+    """Seeded SGD over shuffled batches. With ``out_dir``, it writes the
+    checkpoints, ``final.lshn`` and the loss log ``training_log.csv`` there.
 
     An epoch's ``rel_loss``/``coh_loss`` average each instance's loss from the
     pass that made its gradient, before its batch's step; ``reg`` is taken at
@@ -279,8 +279,8 @@ def train(dataset: Dataset, cfg: TrainingConfig,
 
     if out_dir is not None:
         save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
-    if log_path is not None:
-        with open(log_path, "w", newline="", encoding="utf-8") as fh:
+        with open(out_dir / "training_log.csv", "w", newline="",
+                  encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "rel_loss", "coh_loss", "reg", "total",
                              "wall_seconds"])

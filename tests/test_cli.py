@@ -184,8 +184,8 @@ class TestExitCodes:
         run(*synth_args(out))
         assert run("eval", "--model", str(junk), "--data", str(out)) == 1
 
-    def checkpoint_bytes(self, tmp_path):
-        _, han = han_mod.init_params(np.random.default_rng(0), 4, 5, 8, 6, 4)
+    def checkpoint_bytes(self, tmp_path, d_w=8):
+        _, han = han_mod.init_params(np.random.default_rng(0), 4, 5, d_w, 6, 4)
         path = tmp_path / "model.lshn"
         han_mod.save_checkpoint(path, han, han_mod.DEFAULT_STRATEGY)
         return path.read_bytes()
@@ -244,6 +244,11 @@ class TestExitCodes:
         ("config_a_directory", 2, "config file is a directory"),
         ("model_a_directory", 1, "a directory, not a model checkpoint"),
         ("model_missing", 1, "model.lshn: no such model checkpoint"),
+        ("model_more_words", 1, "model.lshn: the checkpoint has 12 words, "
+         "but"),
+        ("model_fewer_words", 1, "the checkpoint has 6 words, but"),
+        ("model_zero_dimension", 1, "model.lshn: a zero dimension in the "
+         "header (d_c=5, d_w=8, d_s=4, q=0, q_att=0)"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, case, code,
                                        message):
@@ -273,6 +278,12 @@ class TestExitCodes:
             config.mkdir()
         elif case == "model_missing":
             model.unlink()
+        elif case.endswith("_words"):
+            d_w = 12 if case == "model_more_words" else 6
+            model.write_bytes(self.checkpoint_bytes(tmp_path, d_w))
+        elif case == "model_zero_dimension":
+            han_mod.save_checkpoint(model, han_mod.Parameters(
+                han_mod.param_layout(4, 5, 8, 0, 0)), han_mod.DEFAULT_STRATEGY)
         else:
             model.unlink()
             model.mkdir()
@@ -288,6 +299,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert err.startswith("data error: " if code == 2 else "usage error: ")
+
+    @pytest.mark.parametrize("command", ["eval", "probe", "align"])
+    @pytest.mark.parametrize("d_w", [6, 12])
+    def test_vocabulary_size_mismatch(self, tmp_path, capsys, command, d_w):
+        data = tmp_path / "data"
+        run(*synth_args(data))   # 6 words and the two boundary symbols
+        model = tmp_path / "model.lshn"
+        model.write_bytes(self.checkpoint_bytes(tmp_path, d_w))
+        capsys.readouterr()
+        assert run(command, "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "out.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {model}: the checkpoint has {d_w} "
+                       f"words, but {data / 'vocab.txt'} has 8\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0

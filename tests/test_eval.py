@@ -90,7 +90,7 @@ def tiny_dataset(n_instances=4, seed=0):
     return generate_synthetic(
         SyntheticConfig(vocab_size=6, feature_dim=5,
                         sentence_length=(2, 3), instance_count=n_instances,
-                        seed=seed), "test")
+                        seed=seed))
 
 
 def tiny_model(ds, seed=0, q=6):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from lshan import han as han_mod
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.han import (
-    SegmentationStrategy, _attention_forward, _bidir_forward, _cell_forward,
-    _emission_log_probs, coherence_grad, coherence_loss, encode_video,
+    Parameters, SegmentationStrategy, _attention_forward, _bidir_forward,
+    _cell_forward, _emission, coherence_grad, coherence_loss, encode_video,
     greedy_decode, han_param_items, init_params, kbest_decode, load_checkpoint,
     param_layout, parse_strategy, save_checkpoint, segment_clips,
 )
+from lshan.latent_space import project_video
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "standard.lshn"
 
@@ -211,7 +212,7 @@ class TestEmission:
         han["emit_w"][...] = 0.0
         han["emit_b"][...] = 0.0
         h = np.random.default_rng(0).normal(size=8)
-        p = np.exp(_emission_log_probs(han, h))
+        p = np.exp(_emission(han, h)[0])
         np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-12)
 
     def test_large_bias_is_stable(self):
@@ -219,7 +220,7 @@ class TestEmission:
         han["emit_w"][...] = 0.0
         han["emit_b"][...] = 0.0
         han["emit_b"][3] = 1000.0
-        p = np.exp(_emission_log_probs(han, np.zeros(8)))
+        p = np.exp(_emission(han, np.zeros(8))[0])
         assert np.isfinite(p).all()
         assert p[3] == pytest.approx(1.0, abs=1e-12)
 
@@ -228,7 +229,7 @@ class TestEmission:
         h = np.random.default_rng(6).normal(size=8)
         logits = han["emit_w"] @ h + han["emit_b"]
         naive = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(np.exp(_emission_log_probs(han, h)), naive,
+        np.testing.assert_allclose(np.exp(_emission(han, h)[0]), naive,
                                    atol=1e-12)
 
     @given(st.integers(0, 1000))
@@ -236,9 +237,21 @@ class TestEmission:
     def test_distribution_invariants(self, seed):
         ls, han = tiny_model(seed % 7)
         h = np.random.default_rng(seed).normal(size=8) * 5
-        p = np.exp(_emission_log_probs(han, h))
+        p = np.exp(_emission(han, h)[0])
         assert abs(p.sum() - 1.0) <= 1e-12
         assert (p > 0).all()
+
+    def test_stack_rows_match_single_states(self):
+        # the teacher-forced stack and the decoder's single states must round
+        # alike, or the loss would score other numbers than the beam does
+        ls, han = tiny_model(4)
+        hs = np.random.default_rng(8).normal(size=(9, 8)) * 3
+        log_probs, e, total = _emission(han, hs)
+        for t, h in enumerate(hs):
+            log_p, e_t, total_t = _emission(han, h)
+            assert log_probs[t].tobytes() == log_p.tobytes()
+            assert (e[t] / total[t]).tobytes() == (e_t / total_t).tobytes()
+        np.testing.assert_allclose(np.exp(log_probs), e / total, rtol=1e-14)
 
 
 class TestCoherenceLoss:
@@ -277,7 +290,7 @@ class TestCoherenceLoss:
         for token, target in zip((0,) + sentence.tokens, sentence.tokens + (1,)):
             state, _ = _cell_forward(han.group("decoder"), ls.t_s[:, token],
                                      state)
-            expected -= _emission_log_probs(han, state[0])[target]
+            expected -= _emission(han, state[0])[0][target]
         assert loss == pytest.approx(expected, abs=1e-10)
 
     def test_permutation_sensitive(self):
@@ -324,8 +337,8 @@ class TestDecoding:
         for seed in range(8):
             ls, han = tiny_model(seed)
             video, _ = tiny_instance(seed)
-            state = han_mod._decode_init(han, ls, video,
-                                         han_mod.DEFAULT_STRATEGY)
+            enc = han_mod._encode(han, ls, video, han_mod.DEFAULT_STRATEGY)
+            state = (enc.h0, enc.c0)
             token, argmax_tokens = 0, []
             while len(argmax_tokens) < 6:
                 state, log_p = han_mod._decode_step(han, ls, state, token)
@@ -336,6 +349,23 @@ class TestDecoding:
             beam = kbest_decode(han, ls, video, k=1, max_len=6)
             assert beam[0][0] == tuple(argmax_tokens)
             assert greedy_decode(han, ls, video, max_len=6) == beam[0][0]
+
+    def test_step_is_written_out_log_softmax(self):
+        for seed in range(6):
+            ls, han = tiny_model(seed, d_w=4 + seed)
+            rng = np.random.default_rng(seed)
+            state = (rng.normal(size=8), rng.normal(size=8))
+            token = int(rng.integers(0, 4 + seed))
+            (h, c), log_p = han_mod._decode_step(han, ls, state, token)
+            (h_ref, c_ref), _ = _cell_forward(han.group("decoder"),
+                                              ls.t_s[:, token], state)
+            logits = han["emit_w"] @ h_ref + han["emit_b"]
+            logits = logits - logits.max()
+            expected = logits - np.log(np.exp(logits).sum())
+            expected[0] = -np.inf
+            assert log_p.tobytes() == expected.tobytes()
+            assert h.tobytes() == h_ref.tobytes()
+            assert c.tobytes() == c_ref.tobytes()
 
     def test_scores_non_increasing(self):
         ls, han = tiny_model(3)
@@ -363,7 +393,7 @@ class TestDecoding:
             for w in list(tokens) + ([1] if len(tokens) < max_len else []):
                 state, _ = _cell_forward(han.group("decoder"), ls.t_s[:, prev],
                                          state)
-                total += float(_emission_log_probs(han, state[0])[w])
+                total += float(_emission(han, state[0])[0][w])
                 prev = w
             return total
 
@@ -393,13 +423,73 @@ class TestDecoding:
         assert kbest_decode(han, ls, video, k=k, max_len=2) == expected[:k]
 
 
+def coherence_grad_by_steps(han, ls, video, sentence, strategy):
+    """``coherence_grad`` with the emission and its gradient taken one decoder
+    step at a time, the loss as ``log(e / e.sum())``: the test's oracle."""
+    enc = encode_video(han, project_video(ls.t_v, video),
+                       segment_clips(video.n, strategy))
+    input_tokens = (0,) + sentence.tokens
+    targets = sentence.tokens + (1,)
+    hs, caches = han_mod._lstm_forward(han.group("decoder"),
+                                       ls.t_s[:, input_tokens].T,
+                                       (enc.h0, enc.c0))
+    probs = []
+    loss = 0.0
+    for h, target in zip(hs, targets):
+        logits = han["emit_w"] @ h + han["emit_b"]
+        e = np.exp(logits - logits.max())
+        p = e / e.sum()
+        loss -= float(np.log(p[target]))
+        probs.append(p)
+    grads = Parameters(han.layout)
+    dhs = np.empty_like(hs)
+    for t in range(len(hs) - 1, -1, -1):
+        dlogits = probs[t].copy()
+        dlogits[targets[t]] -= 1.0
+        grads["emit_w"] += np.outer(dlogits, hs[t])
+        grads["emit_b"] += dlogits
+        dhs[t] = han["emit_w"].T @ dlogits
+    dxs, dh0, dc0 = han_mod._lstm_backward(han.group("decoder"), caches, dhs,
+                                           grads.group("decoder"))
+    for t in range(len(dxs) - 1, -1, -1):
+        grads["t_s"][:, input_tokens[t]] += dxs[t]
+    dlatent = han_mod._encode_backward(han, enc, dh0, dc0, grads, video.n)
+    grads["t_v"] = dlatent.T @ video.clips
+    return loss, grads
+
+
 class TestCoherenceGrad:
+    @pytest.mark.parametrize("strategy", [TWO, PAIR, even(3), even(7)],
+                             ids=str)
+    def test_matches_step_loops(self, strategy):
+        # 1-9 words (numpy sums more than 8 terms pairwise), drawn from three
+        # words so that tokens repeat
+        repeated = 0
+        for case in range(45):
+            m = case % 9 + 1
+            rng = np.random.default_rng([case, *str(strategy).encode()])
+            ls, han = init_params(rng, 6, 5, 10, int(rng.integers(2, 9)), 5)
+            han.flat *= rng.uniform(0.5, 3.0)
+            words = rng.choice(np.arange(2, 10), size=3, replace=False)
+            sentence = Sentence(tuple(int(w) for w in rng.choice(words, m)))
+            video = ClipFeatureSequence(rng.normal(size=(m + int(
+                rng.integers(0, 12)), 5)))
+            repeated += len(set(sentence.tokens)) < m
+            loss, grads = coherence_grad(han, ls, video, sentence, strategy)
+            want_loss, want = coherence_grad_by_steps(han, ls, video,
+                                                      sentence, strategy)
+            for name, arr in grads.items():
+                assert arr.tobytes() == want[name].tobytes(), (case, name)
+            assert loss == pytest.approx(want_loss, rel=1e-15, abs=0.0)
+            assert loss == coherence_loss(han, ls, video, sentence, strategy)
+        assert repeated >= 20
+
     def test_emission_bias_closed_form(self):
         ls, han = tiny_model(13)
         video, sentence = tiny_instance(13, n=5, m=2)
         _, fwd = han_mod._coherence_forward(han, ls, video, sentence,
                                             han_mod.DEFAULT_STRATEGY)
-        probs, targets = fwd[5], fwd[3]
+        probs, targets = fwd[4], fwd[2]
         expected = sum(p - np.eye(10)[t] for p, t in zip(probs, targets))
         _, grads = coherence_grad(han, ls, video, sentence)
         np.testing.assert_allclose(grads["emit_b"], expected, atol=1e-12)

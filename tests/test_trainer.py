@@ -255,10 +255,9 @@ class TestTrain:
     def test_history_lengths_and_log(self, tmp_path):
         ds = tiny_dataset(1)
         cfg = dataclasses.replace(TINY, epochs=3)
-        log = tmp_path / "loss.csv"
-        state = train(ds, cfg, out_dir=tmp_path, log_path=log)
+        state = train(ds, cfg, out_dir=tmp_path)
         assert len(state.history) == 3
-        lines = log.read_text().strip().split("\n")
+        lines = (tmp_path / "training_log.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,rel_loss,coh_loss,reg,total,wall_seconds"
         assert len(lines) == 4
         assert (tmp_path / "final.lshn").exists()
