@@ -52,23 +52,22 @@ def edit_breakdown(hyp, ref) -> EditBreakdown:
     if not ref:
         raise ValueError("reference sentence must be non-empty")
     nh, nr = len(hyp), len(ref)
-    dist = np.zeros((nh + 1, nr + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(nh + 1)
-    dist[0, :] = np.arange(nr + 1)
-    for i in range(1, nh + 1):
-        for j in range(1, nr + 1):
-            sub = dist[i - 1, j - 1] + (hyp[i - 1] != ref[j - 1])
-            dist[i, j] = min(sub, dist[i - 1, j] + 1, dist[i, j - 1] + 1)
+    dist = [list(range(nr + 1))]
+    for i, h in enumerate(hyp, start=1):
+        prev, row = dist[-1], [i]
+        for j, r in enumerate(ref, start=1):
+            row.append(min(prev[j - 1] + (h != r), prev[j] + 1, row[j - 1] + 1))
+        dist.append(row)
     s = ins = dele = 0
     i, j = nh, nr
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] \
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] \
                 and hyp[i - 1] == ref[j - 1]:
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + 1:
+        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
             s += 1
             i, j = i - 1, j - 1
-        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
             dele += 1
             i -= 1
         else:
@@ -184,15 +183,16 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
     for vid in picks:
         video, _ = dataset.instances[int(vid)]
         hyps = han_mod.kbest_decode(han, ls, video, strategy, k, max_len)
-        scored = []
-        for tokens, log_p in hyps:
-            if not tokens or len(tokens) > video.n:
-                continue  # no feasible alignment for these lengths
-            d = ls_mod.relevance_loss(ls, video, Sentence(tokens))
-            scored.append((tokens, log_p, d))
-        if len({t for t, _, _ in scored}) < 2:
+        # an empty or longer-than-the-video hypothesis has no alignment
+        hyps = [(t, log_p) for t, log_p in hyps if 0 < len(t) <= video.n]
+        if len({t for t, _ in hyps}) < 2:
             skipped += 1
             continue
+        v_lat = ls_mod.project_video(ls.t_v, video)
+        tables = ls_mod.dtw_batch([(v_lat, ls_mod.project_sentence(
+            ls.t_s, Sentence(t)), None) for t, _ in hyps])
+        scored = [(t, log_p, table.total)
+                  for (t, log_p), table in zip(hyps, tables)]
         _, inverse, counts = np.unique([d for _, _, d in scored],
                                        return_inverse=True, return_counts=True)
         if len(counts) < 2:

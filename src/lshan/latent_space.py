@@ -127,30 +127,39 @@ def window_policy(n: int, m: int) -> WindowPolicy:
 def dtw(v_latent: np.ndarray, s_latent: np.ndarray,
         policy: WindowPolicy | None = None) -> DtwTable:
     """Accumulated-cost table of the one-clip-per-step monotone recurrence."""
-    n, m = v_latent.shape[0], s_latent.shape[0]
-    if n < 1 or m < 1:
-        raise AlignmentError("empty sequence")
-    if m > n:
-        raise AlignmentError(f"no feasible path for n={n} < m={m}")
-    diff = v_latent[:, None, :] - s_latent[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return dtw_batch([(v_latent, s_latent, policy)])[0]
 
-    outside = None if policy is None else ~policy.feasible_mask(n)
 
-    # word j is unreachable before clip j with no mask: row 0 is +inf beyond
-    # (0, 0), and min(inf, inf) + d stays inf down the rows
-    costs = np.full((n, m), np.inf)
-    costs[0, 0] = dist[0, 0]
-    for i in range(1, n):
-        prev, row = costs[i - 1], costs[i]
-        row[0] = prev[0] + dist[i, 0]
-        np.minimum(prev[1:], prev[:-1], out=row[1:])
-        row[1:] += dist[i, 1:]
-        if outside is not None:
-            row[outside[i]] = np.inf
-    if not np.isfinite(costs[n - 1, m - 1]):
+def dtw_batch(triples) -> list[DtwTable]:
+    """Tables of (video latent, sentence latent, policy) triples, filled in
+    lockstep: time-major row i holds, pair after pair, a +inf guard and the
+    pair's D[i, :]. Step costs are +inf at the guards and outside each band,
+    so one flat min-and-add fills row i of every table. Padding goes unread.
+    """
+    n_max, m_max = np.max([(v.shape[0], s.shape[0]) for v, s, _ in triples], 0)
+    steps = np.full((n_max, len(triples), m_max + 1), np.inf)
+    costs = np.full((n_max, len(triples), m_max + 1), np.inf)
+    tables = []
+    for b, (v_latent, s_latent, policy) in enumerate(triples):
+        n, m = v_latent.shape[0], s_latent.shape[0]
+        if n < 1 or m < 1:
+            raise AlignmentError("empty sequence")
+        if m > n:
+            raise AlignmentError(f"no feasible path for n={n} < m={m}")
+        diff = v_latent[:, None, :] - s_latent[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        steps[:n, b, 1:m + 1] = dist if policy is None \
+            else np.where(policy.feasible_mask(n), dist, np.inf)
+        costs[0, b, 1] = dist[0, 0]
+        tables.append(DtwTable(costs[:n, b, 1:m + 1], dist))
+    flat, flat_steps = costs.reshape(n_max, -1), steps.reshape(n_max, -1)
+    for above, above_left, row, step in zip(
+            flat[:, 1:], flat[:, :-1], flat[1:, 1:], flat_steps[1:, 1:]):
+        np.minimum(above, above_left, out=row)
+        row += step
+    if not all(np.isfinite(t.total) for t in tables):
         raise AlignmentError("feasible region admits no monotone path")
-    return DtwTable(costs, dist)
+    return tables
 
 
 def backtrack(table: DtwTable) -> AlignmentPath:
@@ -176,10 +185,10 @@ def relevance_loss(params: LatentSpaceParams, video: ClipFeatureSequence,
                project_sentence(params.t_s, sentence), policy).total
 
 
-def relevance_grad(params: LatentSpaceParams, video: ClipFeatureSequence,
-                   sentence: Sentence, policy: WindowPolicy | None = None
-                   ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The relevance loss and its subgradients w.r.t. the two projections.
+def relevance_grad(params: LatentSpaceParams, batch, policies
+                   ) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Per instance of ``batch``, under its policy in ``policies``, in order:
+    the relevance loss and its subgradients w.r.t. the two projections.
 
     The min is differentiated through the tie-broken argmin path; along it
     d(i,j) = ||T_v v_i - T_s s_j|| contributes (u v_i^T, -u e_{s_j}^T) with
@@ -191,19 +200,23 @@ def relevance_grad(params: LatentSpaceParams, video: ClipFeatureSequence,
     ``np.subtract.at`` applies a repeated token's updates in clip order. So
     the result is bit-identical to that loop.
     """
-    v_lat = project_video(params.t_v, video)
-    s_lat = project_sentence(params.t_s, sentence)
-    table = dtw(v_lat, s_lat, policy)
-    jj = backtrack(table).words
-    ii = np.arange(jj.size)
-    d = table.dist[ii, jj]
-    keep = d >= DEGENERATE_DISTANCE
-    ii, jj, d = ii[keep], jj[keep], d[keep]
-    unit = (v_lat[ii] - s_lat[jj]) / d[:, None]
-    g_tv = np.add.reduce(unit[:, :, None] * video.clips[ii][:, None, :], axis=0)
-    g_ts = np.zeros_like(params.t_s)
-    np.subtract.at(g_ts.T, np.asarray(sentence.tokens)[jj], unit)
-    return table.total, g_tv, g_ts
+    latents = [(project_video(params.t_v, video),
+                project_sentence(params.t_s, sentence), policy)
+               for (video, sentence), policy in zip(batch, policies, strict=True)]
+    results = []
+    for (video, sentence), (v_lat, s_lat, _), table in zip(
+            batch, latents, dtw_batch(latents)):
+        jj = backtrack(table).words
+        ii = np.arange(jj.size)
+        d = table.dist[ii, jj]
+        keep = d >= DEGENERATE_DISTANCE
+        ii, jj, d = ii[keep], jj[keep], d[keep]
+        unit = (v_lat[ii] - s_lat[jj]) / d[:, None]
+        g_tv = np.add.reduce(unit[:, :, None] * video.clips[ii][:, None, :], 0)
+        g_ts = np.zeros_like(params.t_s)
+        np.subtract.at(g_ts.T, np.asarray(sentence.tokens)[jj], unit)
+        results.append((table.total, g_tv, g_ts))
+    return results
 
 
 def path_margin(table: DtwTable, path: AlignmentPath) -> float:

@@ -182,10 +182,12 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
     grads = Parameters(han.layout)
     scale = 1.0 / len(batch)
     rel_sum = coh_sum = 0.0
-    for video, sentence in batch:
-        if cfg.lambda1 > 0.0:
-            rel, g_tv, g_ts = ls_mod.relevance_grad(
-                ls, video, sentence, _policy_for(video, sentence, cfg))
+    rel_grads = ls_mod.relevance_grad(
+        ls, batch, [_policy_for(v, s, cfg) for v, s in batch]) \
+        if cfg.lambda1 > 0.0 else None
+    for b, (video, sentence) in enumerate(batch):
+        if rel_grads:
+            rel, g_tv, g_ts = rel_grads[b]
             rel_sum += rel
             grads["t_v"] += cfg.lambda1 * scale * g_tv
             grads["t_s"] += cfg.lambda1 * scale * g_ts

@@ -173,14 +173,26 @@ class TestConsistencyProbe:
         assert [v.video_id for v in r1.videos] == [v.video_id for v in r2.videos]
         assert r1.mean_correlation == r2.mean_correlation
 
+    def test_distances_match_relevance_loss(self):
+        ds = tiny_dataset(8, seed=7)
+        ls, han = tiny_model(ds, seed=7)
+        report = consistency_probe(ls, han, ds, k=4, sample_count=8, seed=3)
+        assert report.videos
+        for probed in report.videos:
+            video, _ = ds.instances[probed.video_id]
+            for tokens, _, d in probed.hypotheses:
+                want = ev.ls_mod.relevance_loss(ls, video, Sentence(tokens))
+                assert np.float64(d).tobytes() == np.float64(want).tobytes()
+
     def probe_with_distances(self, monkeypatch, distances):
         """Probe one video whose four one-word hypotheses lie at
         ``distances``."""
         hyps = [((w,), -float(w)) for w in range(2, 6)]
-        lookup = dict(zip((t for t, _ in hyps), distances))
         monkeypatch.setattr(han_mod, "kbest_decode", lambda *args: hyps)
-        monkeypatch.setattr(ev.ls_mod, "relevance_loss",
-                            lambda ls, video, s: lookup[s.tokens])
+        # the probe aligns the hypotheses in one batch, in decoder order
+        monkeypatch.setattr(ev.ls_mod, "dtw_batch", lambda triples: [
+            ev.ls_mod.DtwTable(np.array([[d]]), np.array([[d]]))
+            for d, _ in zip(distances, triples, strict=True)])
         ds = tiny_dataset(1)
         ls, han = tiny_model(ds)
         return consistency_probe(ls, han, ds, k=4, sample_count=1)

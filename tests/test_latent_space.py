@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.latent_space import (
-    DEGENERATE_DISTANCE, AlignmentError, LatentSpaceParams, backtrack, dtw,
-    min_path_distance, path_margin, project_sentence, project_video,
-    relevance_grad, relevance_loss, window_policy,
+    DEGENERATE_DISTANCE, AlignmentError, DtwTable, LatentSpaceParams,
+    WindowPolicy, backtrack, dtw, dtw_batch, min_path_distance, path_margin,
+    project_sentence, project_video, relevance_grad, relevance_loss,
+    window_policy,
 )
 
 
@@ -47,6 +48,48 @@ def loop_dtw_costs(dist: np.ndarray, feasible=None) -> np.ndarray:
 
 def random_latents(rng, n, m, d):
     return rng.normal(size=(n, d)), rng.normal(size=(m, d))
+
+
+def pair_distances(v_lat, s_lat):
+    diff = v_lat[:, None, :] - s_lat[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def lockstep_batches(rng, count):
+    """Batches of 1-6 (n, m) shapes: n = m, m = 1, n = 1 and a pair whose m
+    exceeds another pair's n first, then random mixes."""
+    batches = [[(1, 1)], [(5, 5), (1, 1)], [(6, 1), (9, 9), (2, 2)],
+               [(3, 2), (12, 7)], [(1, 1), (8, 8), (4, 1), (10, 3)]]
+    while len(batches) < count:
+        batches.append([])
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(1, 20))
+            batches[-1].append((n, int(rng.integers(1, n + 1))))
+    return batches
+
+
+def one_relevance_grad(params, video, sentence, policy=None):
+    """``relevance_grad`` of a one-instance batch."""
+    return relevance_grad(params, [(video, sentence)], [policy])[0]
+
+
+def instance_relevance_grad(params, video, sentence, policy=None):
+    """One instance's relevance gradient on its own cell-loop table."""
+    v_lat = project_video(params.t_v, video)
+    s_lat = project_sentence(params.t_s, sentence)
+    dist = pair_distances(v_lat, s_lat)
+    feasible = None if policy is None else policy.feasible_mask(video.n)
+    table = DtwTable(loop_dtw_costs(dist, feasible), dist)
+    jj = backtrack(table).words
+    ii = np.arange(jj.size)
+    d = dist[ii, jj]
+    keep = d >= DEGENERATE_DISTANCE
+    ii, jj, d = ii[keep], jj[keep], d[keep]
+    unit = (v_lat[ii] - s_lat[jj]) / d[:, None]
+    g_tv = np.add.reduce(unit[:, :, None] * video.clips[ii][:, None, :], axis=0)
+    g_ts = np.zeros_like(params.t_s)
+    np.subtract.at(g_ts.T, np.asarray(sentence.tokens)[jj], unit)
+    return table.total, g_tv, g_ts
 
 
 def loop_relevance_grad(params, video, sentence, policy=None):
@@ -97,6 +140,28 @@ def relevance_case(rng, n, m):
     tokens = tuple(int(t) for t in rng.integers(2, 5, size=m))
     return (LatentSpaceParams(t_v, t_s), ClipFeatureSequence(clips),
             Sentence(tokens))
+
+
+def relevance_batch(rng, shapes):
+    """Shared projections and one (video, sentence) per shape, drawn as in
+    ``relevance_case``: a third of the batches on the integer grid."""
+    grid = rng.random() < 1 / 3
+    dim = 2 if grid else 4
+
+    def draw(shape):
+        if grid:
+            return rng.integers(-1, 2, size=shape).astype(float)
+        return rng.normal(size=shape)
+    params = LatentSpaceParams(draw((3, dim)), draw((3, 5)))
+    batch = []
+    for n, m in shapes:
+        clips = draw((n, dim))
+        if grid:
+            clips += rng.choice([0.0, 1e-10], size=(n, dim))
+        clips[rng.random(n) < 0.2] = 0.0
+        tokens = tuple(int(t) for t in rng.integers(2, 5, size=m))
+        batch.append((ClipFeatureSequence(clips), Sentence(tokens)))
+    return params, batch
 
 
 def relevance_shapes(rng, count):
@@ -209,6 +274,53 @@ class TestDtw:
                 table = dtw(v, s, pol)
                 assert np.array_equal(table.costs,
                                       loop_dtw_costs(table.dist, feasible))
+
+    def test_lockstep_matches_single_tables(self):
+        rng = np.random.default_rng(20)
+        crossed = 0
+        for shapes in lockstep_batches(rng, 300):
+            pairs = [random_latents(rng, n, m, 3) for n, m in shapes]
+            policies = [window_policy(n, m) if rng.random() < 0.5 else None
+                        for n, m in shapes]
+            tables = dtw_batch([(v, s, policy) for (v, s), policy
+                                in zip(pairs, policies)])
+            assert len(tables) == len(shapes)
+            for (v, s), policy, table in zip(pairs, policies, tables):
+                dist = pair_distances(v, s)
+                feasible = None if policy is None \
+                    else policy.feasible_mask(v.shape[0])
+                assert table.dist.tobytes() == dist.tobytes()
+                assert table.costs.shape == dist.shape
+                assert table.costs.tobytes() \
+                    == loop_dtw_costs(dist, feasible).tobytes()
+            crossed += max(m for _, m in shapes) > min(n for n, _ in shapes)
+        assert crossed > 50
+
+    def test_batch_rejects_an_infeasible_pair(self):
+        rng = np.random.default_rng(21)
+        v, s = random_latents(rng, 6, 3, 2)
+        cases = [
+            (random_latents(rng, 2, 3, 2), None,
+             "no feasible path for n=2 < m=3"),
+            ((np.zeros((0, 2)), np.zeros((1, 2))), None, "empty sequence"),
+            # word 1 may only take clip 0, so no path reaches (3, 1)
+            (random_latents(rng, 4, 2, 2), WindowPolicy((0, 0), (3, 0)),
+             "feasible region admits no monotone path"),
+        ]
+        for (bad_v, bad_s), policy, message in cases:
+            for triples in ([(bad_v, bad_s, policy)],
+                            [(v, s, None), (bad_v, bad_s, policy),
+                             (v, s, window_policy(6, 3))]):
+                with pytest.raises(AlignmentError, match=f"^{message}$"):
+                    dtw_batch(triples)
+            if message == "empty sequence":
+                continue  # the corpus types refuse empty videos and sentences
+            params = LatentSpaceParams(np.eye(2), rng.normal(size=(2, 5)))
+            batch = [(ClipFeatureSequence(v), Sentence((2, 3, 4))),
+                     (ClipFeatureSequence(bad_v),
+                      Sentence((2, 3, 4)[:bad_s.shape[0]]))]
+            with pytest.raises(AlignmentError, match=f"^{message}$"):
+                relevance_grad(params, batch, [None, policy])
 
     def test_rejects_more_words_than_clips(self):
         rng = np.random.default_rng(6)
@@ -349,7 +461,7 @@ class TestRelevance:
         t_s = np.array([[1.0, 1.0, 1.0]])
         params = LatentSpaceParams(np.array([[1.0]]), t_s)
         video = ClipFeatureSequence(np.array([[1.0], [1.0]]))
-        loss, g_tv, g_ts = relevance_grad(params, video, Sentence((2,)))
+        loss, g_tv, g_ts = one_relevance_grad(params, video, Sentence((2,)))
         assert loss == 0.0
         assert not g_tv.any() and not g_ts.any()
 
@@ -362,7 +474,7 @@ class TestRelevance:
         sentence = Sentence((3,))
         diff = params.t_v @ clip - params.t_s[:, 3]
         unit = diff / np.linalg.norm(diff)
-        loss, g_tv, g_ts = relevance_grad(params, video, sentence)
+        loss, g_tv, g_ts = one_relevance_grad(params, video, sentence)
         assert loss == pytest.approx(np.linalg.norm(diff), abs=1e-12)
         np.testing.assert_allclose(g_tv, np.outer(unit, clip), atol=1e-12)
         np.testing.assert_allclose(g_ts[:, 3], -unit, atol=1e-12)
@@ -374,7 +486,7 @@ class TestRelevance:
         for n, m in relevance_shapes(rng, 1200):
             params, video, sentence = relevance_case(rng, n, m)
             for policy in (None, window_policy(n, m)):
-                got = relevance_grad(params, video, sentence, policy)
+                got = one_relevance_grad(params, video, sentence, policy)
                 want = loop_relevance_grad(params, video, sentence, policy)
                 assert np.float64(got[0]).tobytes() \
                     == np.float64(want[0]).tobytes()
@@ -388,6 +500,21 @@ class TestRelevance:
         # the degenerate-distance filter must have dropped cells, some of
         # them at a distance that is small but not zero
         assert below > 100 and nudged > 20
+
+    def test_batch_matches_instance_loop(self):
+        rng = np.random.default_rng(22)
+        for shapes in lockstep_batches(rng, 400):
+            params, batch = relevance_batch(rng, shapes)
+            policies = [window_policy(n, m) if rng.random() < 0.5 else None
+                        for n, m in shapes]
+            got = relevance_grad(params, batch, policies)
+            assert len(got) == len(batch)
+            for (video, sentence), policy, result in zip(batch, policies, got):
+                want = instance_relevance_grad(params, video, sentence, policy)
+                assert np.float64(result[0]).tobytes() \
+                    == np.float64(want[0]).tobytes()
+                assert result[1].tobytes() == want[1].tobytes()
+                assert result[2].tobytes() == want[2].tobytes()
 
     def test_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -405,7 +532,7 @@ class TestRelevance:
             if path_margin(table, backtrack(table)) < 1e-3:
                 continue
             checked += 1
-            loss, g_tv, g_ts = relevance_grad(params, video, sentence)
+            loss, g_tv, g_ts = one_relevance_grad(params, video, sentence)
             assert loss == relevance_loss(params, video, sentence)
             for arr, grad in ((params.t_v, g_tv), (params.t_s, g_ts)):
                 flat = arr.reshape(-1)
