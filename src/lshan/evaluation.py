@@ -76,10 +76,6 @@ def edit_breakdown(hyp, ref) -> EditBreakdown:
     return EditBreakdown(s, ins, dele, nr)
 
 
-def accuracy(hyp, ref) -> float:
-    return edit_breakdown(hyp, ref).accuracy
-
-
 @dataclass
 class InstanceResult:
     instance_id: int
@@ -148,7 +144,6 @@ class ProbeReport:
     videos: list[ProbeVideo]
     mean_correlation: float
     skipped: int
-    sample_count: int
 
     def write_csv(self, path: Path | str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -204,7 +199,7 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
         rho = np.corrcoef(np.arange(1, len(scored) + 1), distance_ranks)[0, 1]
         videos.append(ProbeVideo(int(vid), scored, float(rho)))
     mean = float(np.mean([v.correlation for v in videos])) if videos else float("nan")
-    return ProbeReport(videos, mean, skipped, sample_count)
+    return ProbeReport(videos, mean, skipped)
 
 
 @dataclass

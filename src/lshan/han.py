@@ -212,9 +212,6 @@ def _cell_forward(cell, x, state=None):
     """One LSTM step of ``cell`` = (w, u, b); returns ((h, c), cache)."""
     w, u, b = cell
     q = u.shape[1]
-    if x.shape[0] != w.shape[1]:
-        raise ValueError(
-            f"input size {x.shape[0]} does not match cell ({w.shape[1]})")
     if state is None:
         state = (np.zeros(q), np.zeros(q))
     h_prev, c_prev = state
@@ -227,24 +224,6 @@ def _cell_forward(cell, x, state=None):
     h = o * tc
     cache = (x, h_prev, c_prev, ifo, g, tc)
     return (h, c), cache
-
-
-def _cell_backward(cell, cache, dh, dc):
-    """Given upstream dh, dc for one step, return param grads and input grads."""
-    w, u, _ = cell
-    x, h_prev, c_prev, ifo, g, tc = cache
-    q = len(g)
-    i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
-    do = dh * tc
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dc_prev = dc * f
-    dz = np.concatenate([np.concatenate([dc * g, dc * c_prev, do])
-                         * ifo * (1 - ifo), dc * i * (1 - g * g)])
-    dw = dz[:, None] * x
-    du = dz[:, None] * h_prev
-    dx = w.T @ dz
-    dh_prev = u.T @ dz
-    return dw, du, dz, dx, dh_prev, dc_prev
 
 
 def _lstm_forward(cell, xs, state=None):
@@ -260,18 +239,27 @@ def _lstm_forward(cell, xs, state=None):
 
 def _lstm_backward(cell, caches, dhs, dcell):
     """Accumulate the cell's grads into the views ``dcell``; return
-    ``(dxs, dh0, dc0)``, the gradients of the inputs and the initial state."""
+    ``(dxs, dh0, dc0)``, the gradients of the inputs and the initial state.
+    Each step adds its terms to the views in reverse step order."""
+    w, u, _ = cell
     gw, gu, gb = dcell
-    q = cell[1].shape[1]
+    q = u.shape[1]
     dh = np.zeros(q)
     dc = np.zeros(q)
-    dxs = np.empty((len(caches), cell[0].shape[1]))
+    dxs = np.empty((len(caches), w.shape[1]))
     for t in range(len(caches) - 1, -1, -1):
-        dw, du, db, dx, dh, dc = _cell_backward(cell, caches[t], dh + dhs[t], dc)
-        gw += dw
-        gu += du
-        gb += db
-        dxs[t] = dx
+        x, h_prev, c_prev, ifo, g, tc = caches[t]
+        i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
+        dh = dh + dhs[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([np.concatenate([dc * g, dc * c_prev, dh * tc])
+                             * ifo * (1 - ifo), dc * i * (1 - g * g)])
+        dc = dc * f
+        gw += dz[:, None] * x
+        gu += dz[:, None] * h_prev
+        gb += dz
+        dxs[t] = w.T @ dz
+        dh = u.T @ dz
     return dxs, dh, dc
 
 
@@ -311,10 +299,10 @@ def _attention_backward(params, cache, dout, dparams):
     gproj, gbias, gquery = dparams
     hs, a, weights = cache
     dweights = hs @ dout
-    dhs = np.outer(weights, dout)
+    dhs = weights[:, None] * dout
     # softmax backward
     dscores = weights * (dweights - weights @ dweights)
-    da = np.outer(dscores, query)
+    da = dscores[:, None] * query
     gquery += a.T @ dscores
     dpre = da * (1.0 - a * a)
     gproj += dpre.T @ hs
@@ -364,7 +352,7 @@ def _encode_backward(params: Parameters, enc: EncodedVideo, dh0, dc0,
     segmentation, seg_caches, word_bid_cache, word_att_cache, u = enc.cache
     for name, d in (("init_h", dh0), ("init_c", dc0)):
         gw, gb = grads.group(name)
-        gw += np.outer(d, u)
+        gw += d[:, None] * u
         gb += d
     du = params["init_h.w"].T @ dh0 + params["init_c.w"].T @ dc0
     dword_hs = _attention_backward(params.group("word_att"), word_att_cache,

@@ -141,10 +141,14 @@ def test_gradient_fidelity():
                                  attention_size=5, lambda1=0.6,
                                  lambda2=0.0002, seed=1)
     start = time.perf_counter()
-    reports = {loss: trainer.grad_check(instances, cfg, eps=1e-5,
-                                        tolerance=1e-4, loss=loss,
-                                        samples_per_group=8)
-               for loss in ("relevance", "coherence", "joint")}
+    configs = {
+        "relevance": dataclasses.replace(cfg, lambda1=1.0, lambda2=0.0),
+        "coherence": dataclasses.replace(cfg, lambda1=0.0, lambda2=0.0),
+        "joint": cfg,
+    }
+    reports = {loss: trainer.grad_check(instances, loss_cfg, eps=1e-5,
+                                        tolerance=1e-4, samples_per_group=8)
+               for loss, loss_cfg in configs.items()}
     elapsed = time.perf_counter() - start
     worst = {loss: max(r.max_rel_error.values()) for loss, r in reports.items()}
     checked = min(r.checked_instances for r in reports.values())
@@ -181,7 +185,7 @@ def test_metric_oracle():
         for hyp in seqs:
             if eval_mod.edit_breakdown(hyp, ref).total != brute_edit(hyp, ref):
                 mismatches += 1
-    negative = eval_mod.accuracy((4, 5), (2,))
+    negative = eval_mod.edit_breakdown((4, 5), (2,)).accuracy
     ok = mismatches == 0 and negative == -1.0
     report("metric-oracle", ok,
            f"{mismatches} mismatches on all pairs len<=4, "

@@ -11,6 +11,7 @@ import pytest
 
 from lshan import cli
 from lshan import han as han_mod
+from lshan import trainer
 from lshan.corpus import load_dataset, read_vocabulary
 
 
@@ -314,6 +315,55 @@ class TestExitCodes:
         assert err == (f"usage error: {model}: the checkpoint has {d_w} "
                        f"words, but {data / 'vocab.txt'} has 8\n")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        *[pytest.param(["gradcheck", "--eps", v], 1, "eps must be finite and "
+                       "> 0", id=f"eps-{v}") for v in ("0", "nan", "inf")],
+        *[pytest.param(["gradcheck", "--tolerance", v], 1, "tolerance must be "
+                       "finite and >= 0", id=f"tolerance-{v}")
+          for v in ("nan", "-1")],
+        *[pytest.param(["train", f"epochs = 2\n{key} = {v}\n"], 2,
+                       f"{key} must be finite", id=f"{key}-{v}")
+          for key in ("lambda2", "learning_rate", "decay_factor",
+                      "max_grad_norm") for v in ("nan", "inf")],
+        pytest.param(["train", "decay_factor = 10\ndecay_interval = 1\n"
+                      "epochs = 400\n"], 2, "decay_factor 10.0 overflows the "
+                     "learning rate within 400 epochs", id="decay-overflow"),
+    ])
+    def test_malformed_numeric_input(self, tmp_path, capsys, argv, code,
+                                     message):
+        if argv[0] == "train":
+            data = tmp_path / "data"
+            run(*synth_args(data))
+            config = write_config(tmp_path, argv[1])
+            argv = ["train", "--config", str(config), "--data", str(data),
+                    "--out", str(tmp_path / "m")]
+        capsys.readouterr()
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_diverged_train_names_its_last_checkpoint(self, tmp_path, capsys,
+                                                      monkeypatch):
+        data = tmp_path / "data"
+        run(*synth_args(data))
+        config = write_config(tmp_path, TINY_CONFIG + "checkpoint_every = 1\n")
+        save = trainer.save_checkpoint
+
+        def save_then_poison(path, params, strategy):
+            save(path, params, strategy)
+            params["emit_b"][0] = np.nan   # the next step diverges
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_then_poison)
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert run("train", "--config", str(config), "--data", str(data),
+                   "--out", str(out)) == 3
+        saved = out / "checkpoint_0001.lshn"
+        assert capsys.readouterr().err == (
+            "numeric failure: parameter group 't_v' became non-finite; "
+            f"last checkpoint {saved}\n")
+        han_mod.load_checkpoint(saved)
 
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0

@@ -11,7 +11,7 @@ from lshan import han as han_mod
 from lshan import trainer
 from lshan.corpus import (ClipFeatureSequence, Dataset, Sentence,
                           SyntheticConfig, Vocabulary, generate_synthetic)
-from lshan.evaluation import (EditBreakdown, accuracy, consistency_probe,
+from lshan.evaluation import (EditBreakdown, consistency_probe,
                               edit_breakdown, evaluate, lambda_sweep,
                               write_sweep_csv)
 
@@ -39,17 +39,18 @@ class TestEditBreakdown:
         bd = edit_breakdown((A, X, B, Y), (A, B))
         assert bd.deletions == 2
         assert bd.substitutions == 0 and bd.insertions == 0
-        assert accuracy((A, X, B, Y), (A, B)) == pytest.approx(0.0)
+        assert edit_breakdown((A, X, B, Y), (A, B)).accuracy \
+            == pytest.approx(0.0)
 
     def test_negative_accuracy_exact(self):
         bd = edit_breakdown((X, Y), (A,))
         assert bd.total == 2
-        assert accuracy((X, Y), (A,)) == -1.0
+        assert edit_breakdown((X, Y), (A,)).accuracy == -1.0
 
     def test_empty_hypothesis(self):
         bd = edit_breakdown((), (A, B, X))
         assert bd.insertions == 3 and bd.total == 3
-        assert accuracy((), (A, B, X)) == pytest.approx(0.0)
+        assert edit_breakdown((), (A, B, X)).accuracy == pytest.approx(0.0)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -77,13 +78,13 @@ class TestEditBreakdown:
 
     @given(st.lists(st.integers(2, 5), min_size=1, max_size=8))
     def test_self_accuracy_is_one(self, ref):
-        assert accuracy(tuple(ref), tuple(ref)) == 1.0
+        assert edit_breakdown(tuple(ref), tuple(ref)).accuracy == 1.0
 
     @given(st.lists(st.integers(2, 5), min_size=1, max_size=5),
            st.lists(st.integers(2, 5), max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_accuracy_upper_bound(self, ref, hyp):
-        assert accuracy(tuple(hyp), tuple(ref)) <= 1.0
+        assert edit_breakdown(tuple(hyp), tuple(ref)).accuracy <= 1.0
 
 
 def tiny_dataset(n_instances=4, seed=0):

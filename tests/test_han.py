@@ -106,6 +106,60 @@ class TestCellStep:
             _cell_forward(cell, np.zeros(5))
 
 
+def cell_backward_by_step(cell, cache, dh, dc):
+    """One reverse LSTM step taken on its own, returning its parameter and
+    input gradients: the per-step oracle of ``_lstm_backward``."""
+    w, u, _ = cell
+    x, h_prev, c_prev, ifo, g, tc = cache
+    q = len(g)
+    i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
+    do = dh * tc
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dc_prev = dc * f
+    dz = np.concatenate([np.concatenate([dc * g, dc * c_prev, do])
+                         * ifo * (1 - ifo), dc * i * (1 - g * g)])
+    dw = dz[:, None] * x
+    du = dz[:, None] * h_prev
+    dx = w.T @ dz
+    dh_prev = u.T @ dz
+    return dw, du, dz, dx, dh_prev, dc_prev
+
+
+class TestLstmBackward:
+    @pytest.mark.parametrize("width", ["d_s", "2q"])
+    @pytest.mark.parametrize("steps", range(1, 7))
+    def test_matches_per_step_cells(self, steps, width):
+        q, d_s = 8, 6
+        p = d_s if width == "d_s" else 2 * q
+        rng = np.random.default_rng([steps, p])
+        cell = (rng.normal(size=(4 * q, p)) * 0.5,
+                rng.normal(size=(4 * q, q)) * 0.5, rng.normal(size=4 * q))
+        xs = rng.normal(size=(steps, p))
+        state = (rng.normal(size=q), rng.normal(size=q))
+        _, caches = han_mod._lstm_forward(cell, xs, state)
+        dhs = rng.normal(size=(steps, q))
+        # the views start non-zero, as they do after a video's first segment
+        start = [rng.normal(size=a.shape) for a in cell]
+        got = [a.copy() for a in start]
+        dxs, dh0, dc0 = han_mod._lstm_backward(cell, caches, dhs, got)
+
+        want = [a.copy() for a in start]
+        want_dxs = np.empty_like(xs)
+        dh, dc = np.zeros(q), np.zeros(q)
+        for t in range(steps - 1, -1, -1):
+            dw, du, db, dx, dh, dc = cell_backward_by_step(
+                cell, caches[t], dh + dhs[t], dc)
+            want[0] += dw
+            want[1] += du
+            want[2] += db
+            want_dxs[t] = dx
+        assert dxs.tobytes() == want_dxs.tobytes()
+        assert dh0.tobytes() == dh.tobytes()
+        assert dc0.tobytes() == dc.tobytes()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestBidirectional:
     def make_cells(self, seed, p=3, q=4, shared=False):
         rng = np.random.default_rng(seed)

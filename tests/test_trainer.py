@@ -324,13 +324,13 @@ class TestGradCheck:
         assert report.passed, report.max_rel_error
 
     def test_relevance_only(self):
-        report = grad_check(self.make_instances(1), self.cfg(),
-                            loss="relevance")
+        report = grad_check(self.make_instances(1), dataclasses.replace(
+            self.cfg(), lambda1=1.0, lambda2=0.0))
         assert report.passed
 
     def test_coherence_only(self):
-        report = grad_check(self.make_instances(2), self.cfg(),
-                            loss="coherence")
+        report = grad_check(self.make_instances(2), dataclasses.replace(
+            self.cfg(), lambda1=0.0, lambda2=0.0))
         assert report.passed
 
     def test_detects_corrupted_gradient(self, monkeypatch):
