@@ -9,7 +9,6 @@ outputs so a run can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -128,23 +127,23 @@ def _cmd_eval(args) -> int:
 
 def _cmd_align(args) -> int:
     ls, _, _, dataset = _load_model_and_split(args)
+    rows = []
+    for idx, (video, sentence) in enumerate(dataset.instances):
+        policy = ls_mod.window_policy(video.n, sentence.length) \
+            if args.windowed else None
+        v_lat = ls_mod.project_video(ls.t_v, video)
+        s_lat = ls_mod.project_sentence(ls.t_s, sentence)
+        path = ls_mod.backtrack(ls_mod.dtw(v_lat, s_lat, policy))
+        rows.extend((idx, i, j) for i, j in enumerate(path.words.tolist()))
     out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "clip_index", "word_index"])
-        for idx, (video, sentence) in enumerate(dataset.instances):
-            policy = ls_mod.window_policy(video.n, sentence.length) \
-                if args.windowed else None
-            v_lat = ls_mod.project_video(ls.t_v, video)
-            s_lat = ls_mod.project_sentence(ls.t_s, sentence)
-            path = ls_mod.backtrack(ls_mod.dtw(v_lat, s_lat, policy))
-            writer.writerows((idx, i, j)
-                             for i, j in enumerate(path.words.tolist()))
+    corpus_mod.write_csv(out, ["instance_id", "clip_index", "word_index"], rows)
     _write_run_manifest(out.parent, "align", vars(args))
     return EXIT_OK
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     synth = corpus_mod.SyntheticConfig(
         vocab_size=8, feature_dim=5, clips_per_word=(1, 2),
@@ -276,7 +275,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (CorpusError, ConfigError, FileNotFoundError) as exc:
+    except (CorpusError, ConfigError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, AlignmentError, FloatingPointError) as exc:
@@ -284,6 +283,10 @@ def run(argv: list[str]) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:   # inputs report their own, so this is an output
+        print(f"usage error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,6 +15,7 @@ generate -> save -> load round trip is element-wise exact.
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 from dataclasses import dataclass, field
@@ -207,16 +208,25 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
 
 def read_text(path: Path, what: str,
               error: type[ValueError] = CorpusError) -> str:
-    """The UTF-8 text of ``what`` at ``path``; a missing file, a directory or
-    bytes that are not UTF-8 raise ``error`` naming the path."""
+    """The UTF-8 text of ``what`` at ``path``; a missing file (also one under
+    a path that is not a directory), a directory or bytes that are not UTF-8
+    raise ``error`` naming the path."""
     try:
         return path.read_bytes().decode("utf-8")
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise error(f"{what} missing: {path}") from None
     except IsADirectoryError:
         raise error(f"{what} is a directory: {path}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: {what} is not UTF-8 ({exc.reason})") from None
+
+
+def write_csv(path: Path | str, header: list[str], rows) -> None:
+    """A UTF-8 CSV file of the ``header`` row, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_features(path: Path | str, clips: np.ndarray) -> None:

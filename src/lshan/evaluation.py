@@ -9,7 +9,6 @@ words.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from . import han as han_mod
 from . import latent_space as ls_mod
 from . import trainer as trainer_mod
-from .corpus import Dataset, Sentence
+from .corpus import Dataset, Sentence, write_csv
 from .han import Parameters, SegmentationStrategy
 from .latent_space import LatentSpaceParams
 
@@ -97,15 +96,12 @@ class EvalReport:
     aggregate: EditBreakdown
 
     def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance_id", "n", "m", "hyp_len", "S", "I", "D",
-                             "accuracy", "decode_seconds"])
-            for r in self.results:
-                writer.writerow([r.instance_id, r.n_clips, r.ref_length,
-                                 r.hyp_length, r.breakdown.substitutions,
-                                 r.breakdown.insertions, r.breakdown.deletions,
-                                 f"{r.accuracy:.6f}", f"{r.decode_seconds:.6f}"])
+        write_csv(path, ["instance_id", "n", "m", "hyp_len", "S", "I", "D",
+                         "accuracy", "decode_seconds"],
+                  ([r.instance_id, r.n_clips, r.ref_length, r.hyp_length,
+                    r.breakdown.substitutions, r.breakdown.insertions,
+                    r.breakdown.deletions, f"{r.accuracy:.6f}",
+                    f"{r.decode_seconds:.6f}"] for r in self.results))
 
 
 def evaluate(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
@@ -146,13 +142,11 @@ class ProbeReport:
     skipped: int
 
     def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["video_id", "rank", "log_prob", "dtw_distance"])
-            for video in self.videos:
-                for rank, (_, log_p, d) in enumerate(video.hypotheses, start=1):
-                    writer.writerow([video.video_id, rank, f"{log_p:.6f}",
-                                     f"{d:.6f}"])
+        write_csv(path, ["video_id", "rank", "log_prob", "dtw_distance"],
+                  ([video.video_id, rank, f"{log_p:.6f}", f"{d:.6f}"]
+                   for video in self.videos
+                   for rank, (_, log_p, d) in enumerate(video.hypotheses,
+                                                        start=1)))
 
 
 def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
@@ -170,6 +164,8 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
     """
     if k < 2:
         raise ValueError("probe needs k >= 2")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     sample_count = min(sample_count, len(dataset))
     picks = rng.choice(len(dataset), size=sample_count, replace=False)
@@ -236,9 +232,6 @@ def lambda_sweep(train_ds: Dataset, val_ds: Dataset,
 
 
 def write_sweep_csv(rows: list[SweepRow], path: Path | str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "val_accuracy", "val_error"])
-        for row in rows:
-            writer.writerow([f"{row.lambda1:.3f}", f"{row.val_accuracy:.6f}",
-                             f"{row.val_error:.6f}"])
+    write_csv(path, ["lambda", "val_accuracy", "val_error"],
+              ([f"{row.lambda1:.3f}", f"{row.val_accuracy:.6f}",
+                f"{row.val_error:.6f}"] for row in rows))

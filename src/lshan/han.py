@@ -69,23 +69,17 @@ def parse_strategy(text: str) -> SegmentationStrategy:
 
 def segment_clips(n: int, strategy: SegmentationStrategy
                   ) -> list[tuple[int, int]]:
-    """Contiguous, disjoint, covering half-open clip ranges."""
+    """Contiguous, disjoint, covering half-open clip ranges: the even-k
+    partition into ``k = min(K, n)`` parts, the first ``n mod k`` of them one
+    clip longer, where K is 2 for two-split, ``ceil(n/2)`` for pair-split and
+    ``strategy.k`` for even-k."""
     if n < 1:
         raise ValueError("need at least one clip")
-    if strategy.kind == "two-split":
-        first = (n + 1) // 2  # odd n: first half gets the extra clip
-        return [(0, first)] + ([(first, n)] if n > first else [])
-    if strategy.kind == "pair-split":
-        return [(s, min(s + 2, n)) for s in range(0, n, 2)]
-    k = min(strategy.k, n)
+    parts = {"two-split": 2, "pair-split": math.ceil(n / 2)}
+    k = min(parts.get(strategy.kind, strategy.k), n)
     base, rem = divmod(n, k)
-    ranges = []
-    start = 0
-    for seg in range(k):
-        size = base + (1 if seg < rem else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
+    ends = [s * base + min(s, rem) for s in range(k + 1)]
+    return list(zip(ends, ends[1:]))
 
 
 # ---------------------------------------------------------------------------

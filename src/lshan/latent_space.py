@@ -37,11 +37,23 @@ class LatentSpaceParams:
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Banded feasibility for DTW: per-word inclusive clip ranges.
+    """Banded feasibility for DTW after the windows of Sakoe & Chiba (1978):
+    per-word inclusive clip ranges, in closed form.
 
-    Windows of length ``ceil(n/2)`` with ``floor(n/4)`` overlap tile the clip
-    axis; words are spread evenly and in order across the windows, and the
-    ranges are then widened just enough that a monotone path always exists.
+    Windows of ``length = ceil(n/2)`` clips start every ``stride = max(1,
+    length - floor(n/4))`` clips, the last (number ``last = ceil((n - length)
+    / stride)``) moved back to end at clip n - 1. Words are spread evenly and
+    in order across the windows, each start pulled back just enough that
+    every later word keeps a clip:
+
+        start_j = min(round(j * last / (m - 1)) * stride, n - length)
+        lo_j = min(start_j, n - m + j),   hi_j = start_j + length - 1
+
+    A single word (m = 1) takes every clip. That is all a monotone path needs:
+    the ranges start at clip 0 and end at clip n - 1; a start moves by at most
+    ``n - length <= length`` clips, so they leave no gap; and ``hi_j >= j``
+    (from n = 8 on there are three windows, and a word in the middle one has
+    ``j < 3(m-1)/4``, so ``j <= stride + length - 1``).
     """
 
     lo: tuple[int, ...]  # first feasible clip per word
@@ -94,34 +106,16 @@ def window_policy(n: int, m: int) -> WindowPolicy:
     """Per-word feasible clip ranges from evenly assigned overlapping windows."""
     if not n >= m >= 1:
         raise AlignmentError(f"need n >= m >= 1, got n={n}, m={m}")
+    if m == 1:
+        return WindowPolicy((0,), (n - 1,))
     length = math.ceil(n / 2)
-    overlap = n // 4
-    stride = max(1, length - overlap)
-    starts = [0]
-    while starts[-1] + length < n:
-        starts.append(starts[-1] + stride)
-    if starts[-1] + length > n:
-        starts[-1] = n - length
-    n_windows = len(starts)
-
-    lo = []
-    hi = []
-    for j in range(m):
-        w = round(j * (n_windows - 1) / (m - 1)) if m > 1 else 0
-        lo.append(starts[w] if m > 1 else 0)
-        hi.append(min(starts[w] + length, n) - 1 if m > 1 else n - 1)
-    # widen minimally so a monotone one-clip-per-step path always exists:
-    # endpoints pinned, at least one clip left for every later word, word j
-    # reachable by clip j, ranges monotone and gap-free.
-    lo[0], hi[m - 1] = 0, n - 1
-    for j in range(m):
-        lo[j] = min(lo[j], n - m + j)
-        hi[j] = max(hi[j], j)
-    for j in range(1, m):
-        lo[j] = max(lo[j], lo[j - 1])
-        hi[j] = max(hi[j], hi[j - 1])
-        lo[j] = min(lo[j], hi[j - 1] + 1)
-    return WindowPolicy(tuple(lo), tuple(hi))
+    stride = max(1, length - n // 4)
+    last = math.ceil((n - length) / stride)  # index of the last window
+    starts = [min(round(j * last / (m - 1)) * stride, n - length)
+              for j in range(m)]
+    return WindowPolicy(
+        tuple([min(start, n - m + j) for j, start in enumerate(starts)]),
+        tuple([start + length - 1 for start in starts]))
 
 
 def dtw(v_latent: np.ndarray, s_latent: np.ndarray,

@@ -11,7 +11,6 @@ clipping. Given a fixed seed and config, training is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import han as han_mod
 from . import latent_space as ls_mod
-from .corpus import ClipFeatureSequence, Dataset, Sentence, read_text
+from .corpus import ClipFeatureSequence, Dataset, Sentence, read_text, write_csv
 from .han import Parameters, SegmentationStrategy, parse_strategy, save_checkpoint
 from .latent_space import LatentSpaceParams
 
@@ -296,14 +295,11 @@ def train(dataset: Dataset, cfg: TrainingConfig,
 
     if out_dir is not None:
         save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
-        with open(out_dir / "training_log.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "rel_loss", "coh_loss", "reg", "total",
-                             "wall_seconds"])
-            writer.writerows(
-                [epoch, e.relevance, e.coherence, e.regularizer, e.total,
-                 e.wall_seconds] for epoch, e in enumerate(state.history))
+        write_csv(out_dir / "training_log.csv",
+                  ["epoch", "rel_loss", "coh_loss", "reg", "total",
+                   "wall_seconds"],
+                  ([epoch, e.relevance, e.coherence, e.regularizer, e.total,
+                    e.wall_seconds] for epoch, e in enumerate(state.history)))
     return state
 
 

@@ -250,6 +250,15 @@ class TestExitCodes:
         ("model_fewer_words", 1, "the checkpoint has 6 words, but"),
         ("model_zero_dimension", 1, "model.lshn: a zero dimension in the "
          "header (d_c=5, d_w=8, d_s=4, q=0, q_att=0)"),
+        ("data_a_file", 2, "vocabulary file missing: {model}/vocab.txt"),
+        ("config_under_a_file", 2, "config file missing: {model}/tiny.cfg"),
+        ("train_out_a_file", 1, "cannot write {model}: File exists"),
+        ("synth_out_a_file", 1, "cannot write {model}: File exists"),
+        ("eval_out_a_directory", 1, "cannot write {data}: Is a directory"),
+        ("eval_out_under_a_file", 1,
+         "cannot write {model}/x.csv: Not a directory"),
+        ("eval_out_under_a_missing_directory", 1,
+         "cannot write {tmp}/missing/x.csv: No such file or directory"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, case, code,
                                        message):
@@ -260,6 +269,9 @@ class TestExitCodes:
         config = write_config(tmp_path)
         manifest_path = data / "manifest_test.json"
         manifest = json.loads(manifest_path.read_text())
+        train = case.startswith(("config", "train"))
+        out = tmp_path / ("m" if train else "report.csv")
+        message = message.format(model=model, data=data, tmp=tmp_path)
         if case == "features_not_a_list":
             manifest["features"] = 5
         elif case == "feature_path_a_number":
@@ -285,17 +297,31 @@ class TestExitCodes:
         elif case == "model_zero_dimension":
             han_mod.save_checkpoint(model, han_mod.Parameters(
                 han_mod.param_layout(4, 5, 8, 0, 0)), han_mod.DEFAULT_STRATEGY)
+        elif case == "data_a_file":
+            data = model
+        elif case == "config_under_a_file":
+            config = model / "tiny.cfg"
+        elif case.endswith("_out_a_file"):
+            out = model
+        elif case == "eval_out_a_directory":
+            out = data
+        elif case == "eval_out_under_a_file":
+            out = model / "x.csv"
+        elif case == "eval_out_under_a_missing_directory":
+            out = tmp_path / "missing" / "x.csv"
         else:
             model.unlink()
             model.mkdir()
         manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
-        if case.startswith("config"):
+        if case.startswith("synth"):
+            got = run(*synth_args(out))
+        elif train:
             got = run("train", "--config", str(config), "--data", str(data),
-                      "--out", str(tmp_path / "m"))
+                      "--out", str(out))
         else:
             got = run("eval", "--model", str(model), "--data", str(data),
-                      "--out", str(tmp_path / "report.csv"))
+                      "--out", str(out))
         assert got == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
@@ -329,6 +355,10 @@ class TestExitCodes:
         pytest.param(["train", "decay_factor = 10\ndecay_interval = 1\n"
                       "epochs = 400\n"], 2, "decay_factor 10.0 overflows the "
                      "learning rate within 400 epochs", id="decay-overflow"),
+        pytest.param(["gradcheck", "--instances", "0"], 1, "--instances must "
+                     "be >= 1, got 0", id="instances-0"),
+        *[pytest.param(["probe", "--samples", v], 1, "sample_count must be "
+                       f">= 1, got {v}", id=f"samples-{v}") for v in ("0", "-1")],
     ])
     def test_malformed_numeric_input(self, tmp_path, capsys, argv, code,
                                      message):
@@ -338,6 +368,13 @@ class TestExitCodes:
             config = write_config(tmp_path, argv[1])
             argv = ["train", "--config", str(config), "--data", str(data),
                     "--out", str(tmp_path / "m")]
+        elif argv[0] == "probe":
+            data = tmp_path / "data"
+            run(*synth_args(data))
+            model = tmp_path / "model.lshn"
+            model.write_bytes(self.checkpoint_bytes(tmp_path))
+            argv = ["probe", "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / "probe.csv"), *argv[1:]]
         capsys.readouterr()
         assert run(*argv) == code
         err = capsys.readouterr().err

@@ -38,6 +38,27 @@ def tiny_instance(seed=0, n=5, m=2, d_c=5, d_w=10):
     return video, sentence
 
 
+def loop_segment_clips(n, strategy):
+    """The segmentations as first written: two halves, pairs, and even-k by a
+    running start."""
+    if n < 1:
+        raise ValueError("need at least one clip")
+    if strategy.kind == "two-split":
+        first = (n + 1) // 2  # odd n: first half gets the extra clip
+        return [(0, first)] + ([(first, n)] if n > first else [])
+    if strategy.kind == "pair-split":
+        return [(s, min(s + 2, n)) for s in range(0, n, 2)]
+    k = min(strategy.k, n)
+    base, rem = divmod(n, k)
+    ranges = []
+    start = 0
+    for seg in range(k):
+        size = base + (1 if seg < rem else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges
+
+
 class TestSegmentation:
     def test_two_split_odd(self):
         assert segment_clips(5, TWO) == [(0, 3), (3, 5)]
@@ -59,6 +80,12 @@ class TestSegmentation:
         covered = [i for a, b in ranges for i in range(a, b)]
         assert covered == list(range(n))
         assert all(b > a for a, b in ranges)
+
+    def test_even_partition_matches_loop(self):
+        for strategy in [TWO, PAIR] + [even(k) for k in range(1, 13)]:
+            for n in range(1, 201):
+                assert segment_clips(n, strategy) \
+                    == loop_segment_clips(n, strategy), (n, str(strategy))
 
     def test_parse_strategy(self):
         assert parse_strategy("even-5") == even(5)

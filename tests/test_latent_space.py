@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +45,38 @@ def loop_dtw_costs(dist: np.ndarray, feasible=None) -> np.ndarray:
                 costs[i, j] = min(costs[i - 1, j], costs[i - 1, j - 1]) \
                     + dist[i, j]
     return costs
+
+
+def loop_window_policy(n: int, m: int) -> WindowPolicy:
+    """The band as first written: every window start built by a loop, each
+    word's window looked up, then a widening pass over the words."""
+    if not n >= m >= 1:
+        raise AlignmentError(f"need n >= m >= 1, got n={n}, m={m}")
+    length = math.ceil(n / 2)
+    overlap = n // 4
+    stride = max(1, length - overlap)
+    starts = [0]
+    while starts[-1] + length < n:
+        starts.append(starts[-1] + stride)
+    if starts[-1] + length > n:
+        starts[-1] = n - length
+    n_windows = len(starts)
+
+    lo = []
+    hi = []
+    for j in range(m):
+        w = round(j * (n_windows - 1) / (m - 1)) if m > 1 else 0
+        lo.append(starts[w] if m > 1 else 0)
+        hi.append(min(starts[w] + length, n) - 1 if m > 1 else n - 1)
+    lo[0], hi[m - 1] = 0, n - 1
+    for j in range(m):
+        lo[j] = min(lo[j], n - m + j)
+        hi[j] = max(hi[j], j)
+    for j in range(1, m):
+        lo[j] = max(lo[j], lo[j - 1])
+        hi[j] = max(hi[j], hi[j - 1])
+        lo[j] = min(lo[j], hi[j - 1] + 1)
+    return WindowPolicy(tuple(lo), tuple(hi))
 
 
 def random_latents(rng, n, m, d):
@@ -432,6 +465,11 @@ class TestWindowPolicy:
             for m in range(1, n + 1):
                 v, s = random_latents(rng, n, m, 2)
                 dtw(v, s, window_policy(n, m))  # raises if infeasible
+
+    def test_closed_form_matches_loop(self):
+        for n in range(1, 201):
+            for m in range(1, n + 1):
+                assert window_policy(n, m) == loop_window_policy(n, m), (n, m)
 
 
 class TestRelevance:
