@@ -2,8 +2,8 @@
 
 Subcommands: synth, train, eval, align, gradcheck, probe, sweep.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Every command writes a run manifest (config echo, seed, version) beside its
-outputs so a run can be reproduced from the manifest alone.
+Every command but gradcheck writes a run manifest (config echo, seed,
+version) beside its outputs so a run can be reproduced from the manifest alone.
 """
 
 from __future__ import annotations
@@ -72,23 +72,23 @@ def _load_model_and_split(args):
 
 def _cmd_synth(args) -> int:
     out = Path(args.out)
+    counts = {"train": args.instances, "validation": args.val_instances,
+              "test": args.test_instances}
+    if min(counts.values()) < 0:
+        raise ValueError(f"instance counts must be >= 0, got {counts}")
+    # one generator run for all splits so the word prototypes are shared;
+    # the splits then differ only in which sentences were drawn
     cfg = corpus_mod.SyntheticConfig(
         vocab_size=args.vocab_size, feature_dim=args.feature_dim,
         clips_per_word=(args.clips_per_word_min, args.clips_per_word_max),
         noise_std=args.noise,
         sentence_length=(args.sentence_len_min, args.sentence_len_max),
-        instance_count=args.instances, seed=args.seed)
+        instance_count=sum(counts.values()), seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    counts = {"train": args.instances, "validation": args.val_instances,
-              "test": args.test_instances}
-    # one generator run for all splits so the word prototypes are shared;
-    # the splits then differ only in which sentences were drawn
-    total = sum(max(c, 0) for c in counts.values())
-    pool = corpus_mod.generate_synthetic(
-        dataclasses.replace(cfg, instance_count=total))
+    pool = corpus_mod.generate_synthetic(cfg)
     start = 0
     for split, count in counts.items():
-        if count < 1:
+        if count == 0:
             continue
         dataset = dataclasses.replace(
             pool, instances=pool.instances[start:start + count], split=split,
@@ -182,8 +182,9 @@ def _cmd_sweep(args) -> int:
     train_ds = _load_split(data_dir, "train")
     val_ds = _load_split(data_dir, "validation")
     values = [float(v) for v in args.lambdas.split(",")]
-    rows = eval_mod.lambda_sweep(train_ds, val_ds, cfg, values)
     out = Path(args.out)
+    out.open("a").close()   # an unusable --out fails before the trainings
+    rows = eval_mod.lambda_sweep(train_ds, val_ds, cfg, values)
     eval_mod.write_sweep_csv(rows, out)
     _write_run_manifest(out.parent, "sweep", vars(args))
     for row in rows:
@@ -278,7 +279,7 @@ def run(argv: list[str]) -> int:
     except (CorpusError, ConfigError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDiverged, AlignmentError, FloatingPointError) as exc:
+    except (TrainingDiverged, AlignmentError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -143,7 +143,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the prototype-plus-noise synthetic dataset generator."""
+    """Knobs for the prototype-plus-noise synthetic generator; bad knobs raise ValueError."""
 
     vocab_size: int = 20          # content words, excluding the 2 reserved symbols
     feature_dim: int = 16
@@ -155,15 +155,15 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if min(self.vocab_size, self.feature_dim, self.instance_count) < 1:
-            raise CorpusError("all synthetic counts must be positive")
+            raise ValueError("all synthetic counts must be positive")
         if self.noise_std < 0:
-            raise CorpusError("noise standard deviation must be >= 0")
+            raise ValueError("noise standard deviation must be >= 0")
         k_lo, k_hi = self.clips_per_word
         m_lo, m_hi = self.sentence_length
         if k_lo < 1 or k_hi < k_lo:
-            raise CorpusError("clips-per-word range must satisfy 1 <= lo <= hi")
+            raise ValueError("clips-per-word range must satisfy 1 <= lo <= hi")
         if m_lo < 1 or m_hi < m_lo:
-            raise CorpusError("sentence-length range must satisfy 1 <= lo <= hi")
+            raise ValueError("sentence-length range must satisfy 1 <= lo <= hi")
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
@@ -206,17 +206,24 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
 # file I/O
 # ---------------------------------------------------------------------------
 
+def read_bytes(path: Path, what: str,
+               error: type[ValueError] = CorpusError) -> bytes:
+    """The bytes of ``what`` at ``path``, read as ``cat`` reads them; a path the
+    OS will not read raises ``error("cannot read <what> <path>: <reason>")``."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:   # a NUL byte in the path
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
 def read_text(path: Path, what: str,
               error: type[ValueError] = CorpusError) -> str:
-    """The UTF-8 text of ``what`` at ``path``; a missing file (also one under
-    a path that is not a directory), a directory or bytes that are not UTF-8
-    raise ``error`` naming the path."""
+    """The UTF-8 text of ``what`` at ``path``, read by ``read_bytes``; bytes
+    that are not UTF-8 raise ``error`` naming the path."""
     try:
-        return path.read_bytes().decode("utf-8")
-    except (FileNotFoundError, NotADirectoryError):
-        raise error(f"{what} missing: {path}") from None
-    except IsADirectoryError:
-        raise error(f"{what} is a directory: {path}") from None
+        return read_bytes(path, what, error).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: {what} is not UTF-8 ({exc.reason})") from None
 
@@ -241,9 +248,7 @@ def write_features(path: Path | str, clips: np.ndarray) -> None:
 
 def read_features(path: Path | str) -> ClipFeatureSequence:
     path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"feature file missing or not a file: {path}")
-    data = path.read_bytes()
+    data = read_bytes(path, "feature file")
     if len(data) < 16 or data[:4] != FEATURE_MAGIC:
         raise CorpusError(f"{path}: not a feature file (bad magic)")
     version, n, dim = struct.unpack("<III", data[4:16])
@@ -307,6 +312,8 @@ def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
             or not all(isinstance(rel, str) for rel in features):
         raise CorpusError(f"{manifest_path}: 'features' must be a list of "
                           "paths and 'annotations' a path")
+    if not features:
+        raise CorpusError(f"{manifest_path}: the manifest lists no instances")
     base = manifest_path.parent
     lines = read_text(base / annotations, "annotation file").splitlines()
     token_lists = [line.split() for line in lines if line.strip()]

@@ -214,19 +214,21 @@ def lambda_sweep(train_ds: Dataset, val_ds: Dataset,
                  values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0)) -> list[SweepRow]:
     """Retrain per trade-off value with the identical seed; evaluate on validation.
 
-    Training failures are recorded on their row and the sweep continues.
+    Every value is range-checked before the first training. Training failures
+    are recorded on their row and the sweep continues.
     """
-    rows = []
     for value in values:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"lambda1 value {value} outside [0, 1]")
+    rows = []
+    for value in values:
         run_cfg = replace(cfg, lambda1=float(value))
         try:
             state = trainer_mod.train(train_ds, run_cfg)
             report = evaluate(state.ls, state.han, val_ds, cfg.strategy,
                               cfg.max_decode_len)
             rows.append(SweepRow(float(value), report.mean_accuracy))
-        except (trainer_mod.TrainingDiverged, FloatingPointError) as exc:
+        except trainer_mod.TrainingDiverged as exc:
             rows.append(SweepRow(float(value), float("nan"), str(exc)))
     return rows
 

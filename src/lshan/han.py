@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import END_INDEX, START_INDEX, ClipFeatureSequence, Sentence
+from .corpus import END_INDEX, START_INDEX, ClipFeatureSequence, Sentence, read_bytes
 from .latent_space import LatentSpaceParams, project_video
 
 
@@ -537,11 +537,7 @@ def save_checkpoint(path: Path | str, han: Parameters,
 def load_checkpoint(path: Path | str
                     ) -> tuple[LatentSpaceParams, Parameters, SegmentationStrategy]:
     path = Path(path)
-    if path.is_dir():
-        raise ValueError(f"{path}: a directory, not a model checkpoint")
-    if not path.exists():
-        raise ValueError(f"{path}: no such model checkpoint")
-    data = path.read_bytes()
+    data = read_bytes(path, "model checkpoint", ValueError)
     if len(data) < 36 or data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")
     version, d_c, d_w, d_s, q, q_att, strat_code, strat_k = struct.unpack(

@@ -43,6 +43,10 @@ def write_config(tmp_path, text=TINY_CONFIG):
     return path
 
 
+def no_training(*args, **kwargs):
+    pytest.fail("a training ran before the input was refused")
+
+
 def dir_bytes(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
@@ -74,6 +78,12 @@ class TestSynth:
         test = load_dataset(out / "manifest_test.json", vocab)
         assert train.vocabulary.words == test.vocabulary.words
         assert len(train) == 4 and len(test) == 2
+
+    def test_zero_count_skips_its_split(self, tmp_path):
+        out = tmp_path / "data"
+        assert run(*synth_args(out, instances=0, val=2, test=0)) == 0
+        assert sorted(p.name for p in out.glob("manifest_*")) == [
+            "manifest_validation.json"]
 
     def test_run_manifest_contents(self, tmp_path):
         out = tmp_path / "data"
@@ -237,21 +247,28 @@ class TestExitCodes:
     @pytest.mark.parametrize("case,code,message", [
         ("features_not_a_list", 2, "'features' must be a list of paths"),
         ("feature_path_a_number", 2, "'features' must be a list of paths"),
-        ("feature_path_a_directory", 2, "feature file missing or not a file"),
-        ("annotations_a_directory", 2, "annotation file is a directory"),
+        ("feature_path_a_directory", 2,
+         "cannot read feature file {data}/features: Is a directory"),
+        ("annotations_a_directory", 2,
+         "cannot read annotation file {data}/features: Is a directory"),
         ("vocabulary_not_utf8", 2, "vocabulary file is not UTF-8"),
         ("annotations_not_utf8", 2, "annotation file is not UTF-8"),
         ("config_not_utf8", 2, "config file is not UTF-8"),
-        ("config_a_directory", 2, "config file is a directory"),
-        ("model_a_directory", 1, "a directory, not a model checkpoint"),
-        ("model_missing", 1, "model.lshn: no such model checkpoint"),
+        ("config_a_directory", 2,
+         "cannot read config file {config}: Is a directory"),
+        ("model_a_directory", 1,
+         "cannot read model checkpoint {model}: Is a directory"),
+        ("model_missing", 1,
+         "cannot read model checkpoint {model}: No such file or directory"),
         ("model_more_words", 1, "model.lshn: the checkpoint has 12 words, "
          "but"),
         ("model_fewer_words", 1, "the checkpoint has 6 words, but"),
         ("model_zero_dimension", 1, "model.lshn: a zero dimension in the "
          "header (d_c=5, d_w=8, d_s=4, q=0, q_att=0)"),
-        ("data_a_file", 2, "vocabulary file missing: {model}/vocab.txt"),
-        ("config_under_a_file", 2, "config file missing: {model}/tiny.cfg"),
+        ("data_a_file", 2,
+         "cannot read vocabulary file {model}/vocab.txt: Not a directory"),
+        ("config_under_a_file", 2,
+         "cannot read config file {model}/tiny.cfg: Not a directory"),
         ("train_out_a_file", 1, "cannot write {model}: File exists"),
         ("synth_out_a_file", 1, "cannot write {model}: File exists"),
         ("eval_out_a_directory", 1, "cannot write {data}: Is a directory"),
@@ -259,9 +276,34 @@ class TestExitCodes:
          "cannot write {model}/x.csv: Not a directory"),
         ("eval_out_under_a_missing_directory", 1,
          "cannot write {tmp}/missing/x.csv: No such file or directory"),
+        ("data_name_too_long", 2,
+         "cannot read vocabulary file {data}/vocab.txt: File name too long"),
+        ("config_name_too_long", 2,
+         "cannot read config file {config}: File name too long"),
+        ("model_name_too_long", 1,
+         "cannot read model checkpoint {model}: File name too long"),
+        ("vocabulary_symlink_loop", 2, "cannot read vocabulary file "
+         "{data}/vocab.txt: Too many levels of symbolic links"),
+        ("feature_symlink_loop", 2, "cannot read feature file "
+         "{data}/features/test_0000.lshf: Too many levels of symbolic links"),
+        ("model_symlink_loop", 1, "cannot read model checkpoint {model}: "
+         "Too many levels of symbolic links"),
+        ("annotations_nul_byte", 2,
+         "cannot read annotation file {data}/a\0b: embedded null byte"),
+        ("train_empty_split", 2,
+         "{data}/manifest_train.json: the manifest lists no instances"),
+        ("eval_empty_split", 2,
+         "{data}/manifest_test.json: the manifest lists no instances"),
+        ("probe_empty_split", 2,
+         "{data}/manifest_train.json: the manifest lists no instances"),
+        ("align_empty_split", 2,
+         "{data}/manifest_train.json: the manifest lists no instances"),
+        ("sweep_empty_split", 2,
+         "{data}/manifest_train.json: the manifest lists no instances"),
+        ("sweep_out_a_directory", 1, "cannot write {data}: Is a directory"),
     ])
-    def test_malformed_input_exit_code(self, tmp_path, capsys, case, code,
-                                       message):
+    def test_malformed_input_exit_code(self, tmp_path, capsys, monkeypatch,
+                                       case, code, message):
         data = tmp_path / "data"
         run(*synth_args(data))
         model = tmp_path / "model.lshn"
@@ -269,9 +311,10 @@ class TestExitCodes:
         config = write_config(tmp_path)
         manifest_path = data / "manifest_test.json"
         manifest = json.loads(manifest_path.read_text())
-        train = case.startswith(("config", "train"))
-        out = tmp_path / ("m" if train else "report.csv")
-        message = message.format(model=model, data=data, tmp=tmp_path)
+        command = case.split("_")[0]
+        if command not in ("synth", "train", "probe", "align", "sweep"):
+            command = "train" if command == "config" else "eval"
+        out = tmp_path / ("m" if command == "train" else "report.csv")
         if case == "features_not_a_list":
             manifest["features"] = 5
         elif case == "feature_path_a_number":
@@ -303,24 +346,46 @@ class TestExitCodes:
             config = model / "tiny.cfg"
         elif case.endswith("_out_a_file"):
             out = model
-        elif case == "eval_out_a_directory":
+        elif case.endswith("_out_a_directory"):
             out = data
         elif case == "eval_out_under_a_file":
             out = model / "x.csv"
         elif case == "eval_out_under_a_missing_directory":
             out = tmp_path / "missing" / "x.csv"
+        elif case == "data_name_too_long":   # a component over 255 bytes
+            data = tmp_path / ("x" * 256)
+        elif case == "config_name_too_long":
+            config = tmp_path / ("x" * 256)
+        elif case == "model_name_too_long":
+            model = tmp_path / ("x" * 256)
+        elif case.endswith("_symlink_loop"):
+            looped = {"vocabulary": data / "vocab.txt", "model": model,
+                      "feature": data / manifest["features"][0]}[
+                case.split("_")[0]]
+            looped.unlink()
+            looped.symlink_to(looped.name)
+        elif case == "annotations_nul_byte":
+            manifest["annotations"] = "a\0b"
+        elif case.endswith("_empty_split"):   # every split lists no instances
+            manifest["features"] = []
+            for split in ("train", "validation"):
+                (data / f"manifest_{split}.json").write_text(
+                    json.dumps(manifest))
         else:
             model.unlink()
             model.mkdir()
         manifest_path.write_text(json.dumps(manifest))
+        monkeypatch.setattr(trainer, "train", no_training)
+        message = message.format(model=model, data=data, config=config,
+                                 tmp=tmp_path)
         capsys.readouterr()
-        if case.startswith("synth"):
+        if command == "synth":
             got = run(*synth_args(out))
-        elif train:
-            got = run("train", "--config", str(config), "--data", str(data),
+        elif command in ("train", "sweep"):
+            got = run(command, "--config", str(config), "--data", str(data),
                       "--out", str(out))
         else:
-            got = run("eval", "--model", str(model), "--data", str(data),
+            got = run(command, "--model", str(model), "--data", str(data),
                       "--out", str(out))
         assert got == code
         err = capsys.readouterr().err
@@ -359,10 +424,38 @@ class TestExitCodes:
                      "be >= 1, got 0", id="instances-0"),
         *[pytest.param(["probe", "--samples", v], 1, "sample_count must be "
                        f">= 1, got {v}", id=f"samples-{v}") for v in ("0", "-1")],
+        *[pytest.param(["synth", flag, "0"], 1, "all synthetic counts must "
+                       "be positive", id=f"synth{flag}-0")
+          for flag in ("--vocab-size", "--feature-dim")],
+        pytest.param(["synth", "--clips-per-word-min", "0"], 1, "clips-per-"
+                     "word range must satisfy 1 <= lo <= hi",
+                     id="synth--clips-per-word-min-0"),
+        pytest.param(["synth", "--sentence-len-min", "0"], 1, "sentence-"
+                     "length range must satisfy 1 <= lo <= hi",
+                     id="synth--sentence-len-min-0"),
+        pytest.param(["synth", "--noise", "-1"], 1, "noise standard "
+                     "deviation must be >= 0", id="synth--noise--1"),
+        pytest.param(["synth", "--val-instances", "-1"], 1, "instance counts "
+                     "must be >= 0, got {'train': 4, 'validation': -1, "
+                     "'test': 2}", id="synth--val-instances--1"),
+        pytest.param(["synth", "--instances", "0", "--val-instances", "0",
+                      "--test-instances", "0"], 1, "all synthetic counts "
+                     "must be positive", id="synth-all-0"),
+        pytest.param(["sweep", "--lambdas", "0.5,2"], 1, "lambda1 value 2.0 "
+                     "outside [0, 1]", id="lambdas-0.5,2"),
     ])
-    def test_malformed_numeric_input(self, tmp_path, capsys, argv, code,
-                                     message):
-        if argv[0] == "train":
+    def test_malformed_numeric_input(self, tmp_path, capsys, monkeypatch,
+                                     argv, code, message):
+        if argv[0] == "synth":
+            argv = synth_args(tmp_path / "data") + argv[1:]
+        elif argv[0] == "sweep":
+            data = tmp_path / "data"
+            run(*synth_args(data))
+            monkeypatch.setattr(trainer, "train", no_training)
+            argv = ["sweep", "--config", str(write_config(tmp_path)),
+                    "--data", str(data), "--out", str(tmp_path / "sweep.csv"),
+                    *argv[1:]]
+        elif argv[0] == "train":
             data = tmp_path / "data"
             run(*synth_args(data))
             config = write_config(tmp_path, argv[1])

@@ -54,10 +54,12 @@ class TestSynthetic:
             assert max(alignment) == sentence.length - 1
 
     def test_invalid_config(self):
-        with pytest.raises(CorpusError):
-            SyntheticConfig(noise_std=-1.0)
-        with pytest.raises(CorpusError):
-            SyntheticConfig(clips_per_word=(0, 2))
+        for knobs in ({"noise_std": -1.0}, {"clips_per_word": (0, 2)},
+                      {"sentence_length": (0, 2)}, {"vocab_size": 0},
+                      {"feature_dim": 0}, {"instance_count": 0}):
+            with pytest.raises(ValueError) as info:
+                SyntheticConfig(**knobs)
+            assert type(info.value) is ValueError   # an argument, not data
 
 
 class TestFileFormats:
@@ -107,5 +109,6 @@ class TestFileFormats:
         (tmp_path / "ann.txt").write_text("a\n")
         (tmp_path / "manifest.json").write_text(
             '{"features": ["gone.lshf"], "annotations": "ann.txt", "split": "test"}')
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match=r"^cannot read feature file "
+                           r".*gone\.lshf: No such file or directory$"):
             load_dataset(tmp_path / "manifest.json", VOCAB)

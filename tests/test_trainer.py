@@ -225,7 +225,8 @@ class TestConfig:
             parse_config("lambda1 = 1.5\n")
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="missing"):
+        with pytest.raises(ConfigError, match=r"^cannot read config file "
+                           r".*absent\.cfg: No such file or directory$"):
             load_config(tmp_path / "absent.cfg")
 
     def test_strategy_value(self):
