@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     # the subcommand handler's repr holds a per-process address
@@ -198,7 +206,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=20)
     p.add_argument("--feature-dim", type=int, default=16)
@@ -239,7 +247,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of analytic gradients")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=seed, default=1)
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
@@ -252,7 +260,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="train")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--strategy", default=None)
     p.add_argument("--max-len", type=int, default=30)
     p.add_argument("--out", default="probe.csv")

@@ -8,8 +8,10 @@ the decoder state through a learned affine map. The decoder is a single LSTM
 consuming latent word vectors and emitting a softmax distribution over the
 vocabulary at every step.
 
-All forward passes cache what the handwritten reverse-mode pass needs; the
-gradients are validated against central finite differences in the test suite.
+A batch of instances runs as one padded, time-major pass per recurrent layer,
+so each time step is one step of every sequence in the batch. All forward
+passes cache what the handwritten reverse-mode pass needs; the gradients are
+validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -149,14 +151,6 @@ class Parameters(Mapping):
     def __len__(self) -> int:
         return len(self._arrays)
 
-    # the dict's own views: Mapping's generic ones look every name up again,
-    # which the regularizer pays on every finite-difference probe
-    def items(self):
-        return self._arrays.items()
-
-    def values(self):
-        return self._arrays.values()
-
     def group(self, prefix: str) -> tuple[np.ndarray, ...]:
         return self._groups[prefix]
 
@@ -195,96 +189,126 @@ def han_param_items(p: Parameters) -> list[tuple[str, np.ndarray]]:
 
 
 # ---------------------------------------------------------------------------
-# recurrent cell, bidirectional encoder, attention pool
+# padded batches, recurrent cell, bidirectional encoder, attention pool
 # ---------------------------------------------------------------------------
+
+class _Padding:
+    """Sequences of ``lengths`` laid out back to back as rows, and their
+    zero-padded time-major (T, B, ...) stack: sequence b is column b, its
+    steps run from t = 0 and padding follows its last step."""
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths)
+        steps = np.arange(lengths.max())[:, None]
+        self.valid = steps < lengths   # (T, B), the real steps
+        # each sequence read backwards, padding mapped to itself: the one
+        # index reverses the inputs, the states and their gradients
+        self.rev = np.where(self.valid, lengths - 1 - steps, steps)
+        self.cols = np.arange(lengths.size)
+        self.at = np.nonzero(self.valid.T)[::-1]   # (t, b) of row after row
+
+    def stack(self, rows: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.valid.shape + rows.shape[1:])
+        out[self.at] = rows
+        return out
+
+    def reverse(self, stack: np.ndarray) -> np.ndarray:
+        return stack[self.rev, self.cols]
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def _cell_forward(cell, x, state=None):
-    """One LSTM step of ``cell`` = (w, u, b); returns ((h, c), cache)."""
-    w, u, b = cell
-    q = u.shape[1]
-    if state is None:
-        state = (np.zeros(q), np.zeros(q))
+def _cell_forward(u, zx, state):
+    """One LSTM step of one state or a (B, q) stack of them, given the
+    input's share ``zx`` = w x + b of the pre-activations; the recurrent
+    weights ``u`` add the rest. Returns ((h, c), (ifo, g, tc))."""
     h_prev, c_prev = state
-    z = w @ x + u @ h_prev + b
-    ifo = _sigmoid(z[:3 * q])   # the input, forget and output gates
-    i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
-    g = np.tanh(z[3 * q:])
-    c = f * c_prev + i * g
+    q = u.shape[1]
+    z = zx + h_prev @ u.T
+    ifo = _sigmoid(z[..., :3 * q])   # the input, forget and output gates
+    g = np.tanh(z[..., 3 * q:])
+    c = ifo[..., q:2 * q] * c_prev + ifo[..., :q] * g
     tc = np.tanh(c)
-    h = o * tc
-    cache = (x, h_prev, c_prev, ifo, g, tc)
-    return (h, c), cache
+    return (ifo[..., 2 * q:] * tc, c), (ifo, g, tc)
 
 
 def _lstm_forward(cell, xs, state=None):
-    hs = np.empty((len(xs), cell[1].shape[1]))
-    caches = []
-    for t, x in enumerate(xs):
-        (h, c), cache = _cell_forward(cell, x, state)
-        state = (h, c)
-        hs[t] = h
-        caches.append(cache)
-    return hs, caches
+    """Run ``cell`` = (w, u, b) over the time-major stack ``xs`` (T, B, p)
+    from ``state`` (zeros if None); returns the states (T, B, q) and the
+    cache of ``_lstm_backward``. The input GEMM runs before the time loop."""
+    w, u, b = cell
+    steps, batch = xs.shape[:2]
+    q = u.shape[1]
+    zx = xs @ w.T + b
+    hs, cs = np.empty((2, steps + 1, batch, q))
+    hs[0], cs[0] = state if state is not None else (0.0, 0.0)
+    ifo = np.empty((steps, batch, 3 * q))
+    g, tc = np.empty((2, steps, batch, q))
+    for t in range(steps):
+        (hs[t + 1], cs[t + 1]), (ifo[t], g[t], tc[t]) = _cell_forward(
+            u, zx[t], (hs[t], cs[t]))
+    return hs[1:], (xs, hs, cs, ifo, g, tc)
 
 
-def _lstm_backward(cell, caches, dhs, dcell):
-    """Accumulate the cell's grads into the views ``dcell``; return
-    ``(dxs, dh0, dc0)``, the gradients of the inputs and the initial state.
-    Each step adds its terms to the views in reverse step order."""
+def _lstm_backward(cell, cache, dhs, dcell):
+    """Add the cell's gradients to the views ``dcell``; return ``(dxs, dh0,
+    dc0)``, the gradients of the inputs and of the initial state.
+
+    The reverse loop only carries dh and dc and keeps each step's dZ; the
+    weight gradients ``dZ^T X``, ``dZ^T H_prev`` and the bias sum follow it
+    as single GEMMs. A padded step follows its sequence's last step and gets
+    no upstream gradient, so its dZ is exactly zero."""
     w, u, _ = cell
     gw, gu, gb = dcell
-    q = u.shape[1]
-    dh = np.zeros(q)
-    dc = np.zeros(q)
-    dxs = np.empty((len(caches), w.shape[1]))
-    for t in range(len(caches) - 1, -1, -1):
-        x, h_prev, c_prev, ifo, g, tc = caches[t]
-        i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
+    xs, hs, cs, ifo, g, tc = cache
+    steps, batch, q = g.shape
+    # dZ = (dc g, dc c_prev, dh tanh(c), dc i) times each block's derivative
+    local = np.stack([g, cs[:-1], tc, ifo[..., :q]], axis=2) * np.concatenate(
+        [ifo * (1.0 - ifo), 1.0 - g * g], axis=-1).reshape(steps, batch, 4, q)
+    dtc = ifo[..., 2 * q:] * (1.0 - tc * tc)
+    dz = np.empty((steps, batch, 4, q))
+    dh = np.zeros((batch, q))
+    dc = np.zeros((batch, q))
+    for t in range(steps - 1, -1, -1):
         dh = dh + dhs[t]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz = np.concatenate([np.concatenate([dc * g, dc * c_prev, dh * tc])
-                             * ifo * (1 - ifo), dc * i * (1 - g * g)])
-        dc = dc * f
-        gw += dz[:, None] * x
-        gu += dz[:, None] * h_prev
-        gb += dz
-        dxs[t] = w.T @ dz
-        dh = u.T @ dz
-    return dxs, dh, dc
+        dc = dc + dh * dtc[t]
+        np.multiply(local[t], dc[:, None], out=dz[t])
+        np.multiply(local[t, :, 2], dh, out=dz[t, :, 2])
+        dc = dc * ifo[t, :, q:2 * q]
+        dh = dz[t].reshape(batch, 4 * q) @ u
+    dz = dz.reshape(steps * batch, 4 * q)
+    gw += dz.T @ xs.reshape(steps * batch, -1)
+    gu += dz.T @ hs[:-1].reshape(steps * batch, q)
+    gb += dz.sum(axis=0)
+    return (dz @ w).reshape(steps, batch, -1), dh, dc
 
 
-def _bidir_forward(fwd, bwd, xs):
-    if len(xs) < 1:
-        raise ValueError("cannot encode an empty sequence")
+def _bidir_forward(fwd, bwd, xs, pad: _Padding):
+    """Forward and backward states of each column of ``xs``, side by side."""
     hf, cf = _lstm_forward(fwd, xs)
-    hb_rev, cb = _lstm_forward(bwd, xs[::-1])
-    hs = np.concatenate([hf, hb_rev[::-1]], axis=1)
-    return hs, (cf, cb)
+    hb, cb = _lstm_forward(bwd, pad.reverse(xs))
+    return np.concatenate([hf, pad.reverse(hb)], axis=-1), (cf, cb)
 
 
-def _bidir_backward(fwd, bwd, caches, dhs, dfwd, dbwd):
-    cf, cb = caches
+def _bidir_backward(fwd, bwd, cache, dhs, pad: _Padding, dfwd, dbwd):
+    cf, cb = cache
     q = fwd[1].shape[1]
-    dxs_f, _, _ = _lstm_backward(fwd, cf, dhs[:, :q], dfwd)
-    dxs_b, _, _ = _lstm_backward(bwd, cb, dhs[::-1, q:], dbwd)
-    return dxs_f + dxs_b[::-1]
+    dxs_f, _, _ = _lstm_backward(fwd, cf, dhs[..., :q], dfwd)
+    dxs_b, _, _ = _lstm_backward(bwd, cb, pad.reverse(dhs[..., q:]), dbwd)
+    return dxs_f + pad.reverse(dxs_b)
 
 
-def _attention_forward(params, hs):
-    """Attention pool of ``hs`` under ``params`` = (proj, bias, query)."""
+def _attention_forward(params, hs, valid):
+    """Attention pool under ``params`` = (proj, bias, query) of each column
+    of ``hs`` (T, B, 2q) over its real steps ``valid``; padding scores -inf."""
     proj, bias, query = params
-    if len(hs) < 1:
-        raise ValueError("cannot pool an empty sequence")
-    a = np.tanh(hs @ proj.T + bias)   # (T, q_att)
-    scores = a @ query
-    scores = scores - scores.max()
-    e = np.exp(scores)
-    weights = e / e.sum()
-    pooled = weights @ hs
+    a = np.tanh(hs @ proj.T + bias)   # (T, B, q_att)
+    scores = np.where(valid, a @ query, -np.inf)
+    e = np.exp(scores - scores.max(axis=0))
+    weights = e / e.sum(axis=0)
+    pooled = (weights[..., None] * hs).sum(axis=0)
     return pooled, (hs, a, weights)
 
 
@@ -292,159 +316,148 @@ def _attention_backward(params, cache, dout, dparams):
     proj, _, query = params
     gproj, gbias, gquery = dparams
     hs, a, weights = cache
-    dweights = hs @ dout
-    dhs = weights[:, None] * dout
-    # softmax backward
-    dscores = weights * (dweights - weights @ dweights)
-    da = dscores[:, None] * query
-    gquery += a.T @ dscores
-    dpre = da * (1.0 - a * a)
-    gproj += dpre.T @ hs
+    dweights = (hs * dout).sum(axis=-1)
+    # softmax backward; a padded step has weight 0, so no gradient
+    dscores = weights * (dweights - (weights * dweights).sum(axis=0))
+    da = dscores[..., None] * query
+    gquery += (a * dscores[..., None]).sum(axis=(0, 1))
+    dpre = (da * (1.0 - a * a)).reshape(-1, a.shape[-1])
+    gproj += dpre.T @ hs.reshape(-1, hs.shape[-1])
     gbias += dpre.sum(axis=0)
-    dhs += dpre @ proj
-    return dhs
+    return weights[..., None] * dout + (dpre @ proj).reshape(hs.shape)
 
 
 # ---------------------------------------------------------------------------
 # hierarchical encoding
 # ---------------------------------------------------------------------------
 
+_LEVELS = ("clip", "word")   # the clip encoder, then the segment encoder
+
+
 @dataclass
 class EncodedVideo:
-    h0: np.ndarray  # decoder initial hidden state
-    c0: np.ndarray  # decoder initial cell state
-    cache: tuple    # ends with the pooled 2q video vector
+    h0: np.ndarray  # (B, q) decoder initial hidden states
+    c0: np.ndarray  # (B, q) decoder initial cell states
+    cache: tuple    # ends with the pooled (B, 2q) video vectors
 
 
-def encode_video(params: Parameters, latent_clips: np.ndarray,
-                 segmentation: list[tuple[int, int]]) -> EncodedVideo:
-    covered = [i for a, b in segmentation for i in range(a, b)]
-    if covered != list(range(len(latent_clips))):
-        raise ValueError("segmentation does not partition the clip sequence")
-    clip_fwd, clip_bwd = params.group("clip_fwd"), params.group("clip_bwd")
-    clip_att = params.group("clip_att")
-    seg_caches = []
-    seg_vectors = np.empty((len(segmentation), 2 * clip_fwd[1].shape[1]))
-    for s, (a, b) in enumerate(segmentation):
-        hs, bid_cache = _bidir_forward(clip_fwd, clip_bwd, latent_clips[a:b])
-        pooled, att_cache = _attention_forward(clip_att, hs)
-        seg_vectors[s] = pooled
-        seg_caches.append((bid_cache, att_cache))
-    word_hs, word_bid_cache = _bidir_forward(
-        params.group("word_fwd"), params.group("word_bwd"), seg_vectors)
-    video_vector, word_att_cache = _attention_forward(params.group("word_att"),
-                                                      word_hs)
-    h0 = params["init_h.w"] @ video_vector + params["init_h.b"]
-    c0 = params["init_c.w"] @ video_vector + params["init_c.b"]
-    cache = (segmentation, seg_caches, word_bid_cache, word_att_cache,
-             video_vector)
-    return EncodedVideo(h0, c0, cache)
+def encode_video(params: Parameters, videos: list[ClipFeatureSequence],
+                 strategy: SegmentationStrategy) -> EncodedVideo:
+    """Encode a batch of videos in one padded, time-major pass per level:
+    every segment of every video through the clip encoder as one (T, S, d_s)
+    stack, then the videos' segment-vector sequences as one (K, B, 2q)."""
+    xs = np.concatenate([project_video(params["t_v"], v) for v in videos])
+    segments = [segment_clips(v.n, strategy) for v in videos]
+    pads = (_Padding([b - a for segs in segments for a, b in segs]),
+            _Padding([len(segs) for segs in segments]))
+    levels = []
+    for level, pad in zip(_LEVELS, pads):
+        hs, bid_cache = _bidir_forward(params.group(f"{level}_fwd"),
+                                       params.group(f"{level}_bwd"),
+                                       pad.stack(xs), pad)
+        xs, att_cache = _attention_forward(params.group(f"{level}_att"), hs,
+                                           pad.valid)
+        levels.append((pad, bid_cache, att_cache))
+    h0 = xs @ params["init_h.w"].T + params["init_h.b"]
+    c0 = xs @ params["init_c.w"].T + params["init_c.b"]
+    return EncodedVideo(h0, c0, (levels, xs))
 
 
 def _encode_backward(params: Parameters, enc: EncodedVideo, dh0, dc0,
-                     grads: Parameters, n_clips: int) -> np.ndarray:
-    segmentation, seg_caches, word_bid_cache, word_att_cache, u = enc.cache
+                     grads: Parameters) -> np.ndarray:
+    """Gradients of the encoder's parameters into ``grads``; returns the
+    gradient of the latent clips, row after row as ``encode_video`` reads
+    them."""
+    levels, u = enc.cache
     for name, d in (("init_h", dh0), ("init_c", dc0)):
         gw, gb = grads.group(name)
-        gw += d[:, None] * u
-        gb += d
-    du = params["init_h.w"].T @ dh0 + params["init_c.w"].T @ dc0
-    dword_hs = _attention_backward(params.group("word_att"), word_att_cache,
-                                   du, grads.group("word_att"))
-    dseg = _bidir_backward(params.group("word_fwd"), params.group("word_bwd"),
-                           word_bid_cache, dword_hs,
-                           grads.group("word_fwd"), grads.group("word_bwd"))
-    clip_fwd, clip_bwd = params.group("clip_fwd"), params.group("clip_bwd")
-    dlatent = np.zeros((n_clips, clip_fwd[0].shape[1]))
-    for s, (a, b) in enumerate(segmentation):
-        bid_cache, att_cache = seg_caches[s]
-        dhs = _attention_backward(params.group("clip_att"), att_cache, dseg[s],
-                                  grads.group("clip_att"))
-        dlatent[a:b] = _bidir_backward(clip_fwd, clip_bwd, bid_cache, dhs,
-                                       grads.group("clip_fwd"),
-                                       grads.group("clip_bwd"))
-    return dlatent
+        gw += d.T @ u
+        gb += d.sum(axis=0)
+    d = dh0 @ params["init_h.w"] + dc0 @ params["init_c.w"]
+    for level, (pad, bid_cache, att_cache) in zip(_LEVELS[::-1], levels[::-1]):
+        dhs = _attention_backward(params.group(f"{level}_att"), att_cache, d,
+                                  grads.group(f"{level}_att"))
+        d = _bidir_backward(params.group(f"{level}_fwd"),
+                            params.group(f"{level}_bwd"), bid_cache, dhs, pad,
+                            grads.group(f"{level}_fwd"),
+                            grads.group(f"{level}_bwd"))[pad.at]
+    return d
 
 
 # ---------------------------------------------------------------------------
 # emission and coherence loss
 # ---------------------------------------------------------------------------
 
-def _encode(han: Parameters, ls: LatentSpaceParams, video: ClipFeatureSequence,
-            strategy: SegmentationStrategy) -> EncodedVideo:
-    """The latent projection of ``video``, encoded under ``strategy``."""
-    return encode_video(han, project_video(ls.t_v, video),
-                        segment_clips(video.n, strategy))
+def _emission(han: Parameters, hs: np.ndarray) -> np.ndarray:
+    """The vocabulary log-softmax of decoder states ``hs`` (..., q)."""
+    logits = hs @ han["emit_w"].T + han["emit_b"]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _emission(han: Parameters, hs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The vocabulary log-softmax of one decoder state or a (T, q) stack of
-    them, and the softmax as ``e / total``: ``(log_probs, e, total)``.
-    Decoding reads only the log-probabilities, so it skips the division."""
-    w = han["emit_w"]
-    stack = hs.ndim > 1
-    # a stack takes one gemv per state, which rounds exactly like ``w @ h``
-    logits = ((w @ hs[..., None])[..., 0] if stack else w @ hs) + han["emit_b"]
-    shifted = logits - logits.max(axis=-1, keepdims=stack)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=stack)
-    return shifted - np.log(total), e, total
-
-
-def _coherence_forward(han: Parameters, ls: LatentSpaceParams,
-                       video: ClipFeatureSequence, sentence: Sentence,
+def _coherence_forward(han: Parameters, ls: LatentSpaceParams, batch,
                        strategy: SegmentationStrategy):
-    enc = _encode(han, ls, video, strategy)
-    input_tokens = np.array((START_INDEX,) + sentence.tokens)
-    targets = sentence.tokens + (END_INDEX,)
-    hs, dec_caches = _lstm_forward(han.group("decoder"),
-                                   ls.t_s[:, input_tokens].T, (enc.h0, enc.c0))
-    log_probs, e, total = _emission(han, hs)
-    loss = -float(log_probs[np.arange(len(targets)), targets].sum())
-    return loss, (enc, input_tokens, targets, dec_caches, e / total, hs)
+    """The per-instance losses of ``batch`` from one padded pass: the
+    videos through ``encode_video``, the teacher-forced sentences through
+    the decoder as one (T_m, B, d_s) stack."""
+    enc = encode_video(han, [video for video, _ in batch], strategy)
+    inputs = np.concatenate([(START_INDEX,) + s.tokens for _, s in batch])
+    targets = np.concatenate([s.tokens + (END_INDEX,) for _, s in batch])
+    lengths = [s.length + 1 for _, s in batch]
+    pad = _Padding(lengths)
+    hs, dec_cache = _lstm_forward(han.group("decoder"),
+                                  pad.stack(ls.t_s.T[inputs]), (enc.h0, enc.c0))
+    hs = hs[pad.at]   # the real steps, sentence after sentence
+    log_probs = _emission(han, hs)
+    starts = np.cumsum([0] + lengths[:-1])
+    losses = -np.add.reduceat(log_probs[np.arange(len(targets)), targets],
+                              starts)
+    return losses, (enc, pad, inputs, targets, dec_cache, hs, log_probs)
 
 
 def coherence_loss(han: Parameters, ls: LatentSpaceParams,
                    video: ClipFeatureSequence, sentence: Sentence,
                    strategy: SegmentationStrategy = DEFAULT_STRATEGY) -> float:
     """Teacher-forced negative log-likelihood of the gold sentence plus #End."""
-    loss, _ = _coherence_forward(han, ls, video, sentence, strategy)
-    return loss
+    losses, _ = _coherence_forward(han, ls, [(video, sentence)], strategy)
+    return float(losses[0])
 
 
-def coherence_grad(han: Parameters, ls: LatentSpaceParams,
-                   video: ClipFeatureSequence, sentence: Sentence,
+def coherence_grad(han: Parameters, ls: LatentSpaceParams, batch,
                    strategy: SegmentationStrategy = DEFAULT_STRATEGY
-                   ) -> tuple[float, Parameters]:
-    """The coherence loss and its reverse-mode gradients, laid out like ``han``.
+                   ) -> tuple[list[float], Parameters]:
+    """The coherence loss of each instance of ``batch``, in batch order, and
+    the reverse-mode gradient of their sum, laid out like ``han``.
 
-    Input gradients reach the projections as outer products: clip latents map
-    back through the raw clip features, word latents through their one-hots.
-    Per-step terms sum from zero in reverse step order, as backprop visits them.
+    Input gradients reach the projections as matrix products: clip latents
+    map back through the raw clip features, word latents through their
+    one-hots.
     """
-    loss, fwd = _coherence_forward(han, ls, video, sentence, strategy)
-    enc, input_tokens, targets, dec_caches, dlogits, hs = fwd
+    losses, fwd = _coherence_forward(han, ls, batch, strategy)
+    enc, pad, inputs, targets, dec_cache, hs, log_probs = fwd
     grads = Parameters(han.layout)
+    dlogits = np.exp(log_probs)
     dlogits[np.arange(len(targets)), targets] -= 1.0   # probs - one-hot
-    grads["emit_w"] = np.add.reduce(
-        (dlogits[:, :, None] * hs[:, None, :])[::-1], axis=0)
-    grads["emit_b"] = np.add.reduce(dlogits[::-1], axis=0)
-    dhs = (han["emit_w"].T @ dlogits[..., None])[..., 0]
-    dxs, dh0, dc0 = _lstm_backward(han.group("decoder"), dec_caches, dhs,
+    grads["emit_w"] = dlogits.T @ hs
+    grads["emit_b"] = dlogits.sum(axis=0)
+    dxs, dh0, dc0 = _lstm_backward(han.group("decoder"), dec_cache,
+                                   pad.stack(dlogits @ han["emit_w"]),
                                    grads.group("decoder"))
-    np.add.at(grads["t_s"].T, input_tokens[::-1], dxs[::-1])
-    dlatent = _encode_backward(han, enc, dh0, dc0, grads, video.n)
-    grads["t_v"] = dlatent.T @ video.clips
-    return loss, grads
+    np.add.at(grads["t_s"].T, inputs, dxs[pad.at])
+    dlatent = _encode_backward(han, enc, dh0, dc0, grads)
+    grads["t_v"] = dlatent.T @ np.concatenate([v.clips for v, _ in batch])
+    return losses.tolist(), grads
 
 
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
 
-def _decode_step(han, ls, state, token):
-    (h, c), _ = _cell_forward(han.group("decoder"), ls.t_s[:, token], state)
-    log_p, _, _ = _emission(han, h)
+def _decode_step(han, zx, state):
+    """One decoder step from the input's share ``zx`` of the
+    pre-activations; returns the new state and the log-probabilities."""
+    (h, c), _ = _cell_forward(han["decoder.u"], zx, state)
+    log_p = _emission(han, h)
     log_p[START_INDEX] = -np.inf  # the start symbol is never emitted
     return (h, c), log_p
 
@@ -476,13 +489,16 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     # live hypotheses (tokens, score, state), all one length, sorted by tokens
-    enc = _encode(han, ls, video, strategy)
-    live = [((), 0.0, (enc.h0, enc.c0))]
+    enc = encode_video(han, [video], strategy)
+    w, _, b = han.group("decoder")
+    word_zx = ls.t_s.T @ w.T + b   # the decoder's input GEMM, word by word
+    live = [((), 0.0, (enc.h0[0], enc.c0[0]))]
     finished: list[tuple[tuple[int, ...], float]] = []
     n_words = ls.t_s.shape[1]
     for _ in range(max_len):
-        steps = [_decode_step(han, ls, state, tokens[-1] if tokens else
-                              START_INDEX) for tokens, _, state in live]
+        steps = [_decode_step(han, word_zx[tokens[-1] if tokens else
+                                           START_INDEX], state)
+                 for tokens, _, state in live]
         # the scores of every extension, parent by parent
         cand = np.concatenate([score + log_p for (_, score, _), (_, log_p)
                                in zip(live, steps)])

@@ -73,6 +73,8 @@ class TrainingConfig:
                self.latent_dim, self.hidden_size, self.attention_size,
                self.max_decode_len) < 1:
             raise ConfigError("counts and dimensions must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0 or self.max_grad_norm <= 0:
             raise ConfigError("bad checkpoint cadence or gradient clip norm")
         try:   # the rate is largest at the last epoch when it grows
@@ -158,9 +160,7 @@ def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
 
 
 def regularizer(params: Parameters) -> float:
-    # summed array by array: one dot product over the buffer rounds differently
-    return float(sum(np.add.reduce(arr * arr, axis=None)
-                     for arr in params.values()))
+    return float(params.flat @ params.flat)
 
 
 def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
@@ -196,21 +196,16 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
     grads = Parameters(han.layout)
     scale = 1.0 / len(batch)
     rel_sum = coh_sum = 0.0
-    rel_grads = ls_mod.relevance_grad(
-        ls, batch, [_policy_for(v, s, cfg) for v, s in batch]) \
-        if cfg.lambda1 > 0.0 else None
-    for b, (video, sentence) in enumerate(batch):
-        if rel_grads:
-            rel, g_tv, g_ts = rel_grads[b]
+    if cfg.lambda1 > 0.0:
+        for rel, g_tv, g_ts in ls_mod.relevance_grad(
+                ls, batch, [_policy_for(v, s, cfg) for v, s in batch]):
             rel_sum += rel
             grads["t_v"] += cfg.lambda1 * scale * g_tv
             grads["t_s"] += cfg.lambda1 * scale * g_ts
-        if cfg.lambda1 < 1.0:
-            coh, g_coh = han_mod.coherence_grad(han, ls, video, sentence,
-                                                cfg.strategy)
-            coh_sum += coh
-            w = (1.0 - cfg.lambda1) * scale
-            grads.flat += w * g_coh.flat
+    if cfg.lambda1 < 1.0:
+        losses, g_coh = han_mod.coherence_grad(han, ls, batch, cfg.strategy)
+        coh_sum = sum(losses)
+        grads.flat += (1.0 - cfg.lambda1) * scale * g_coh.flat
     if cfg.lambda2 > 0.0:
         grads.flat += 2.0 * cfg.lambda2 * han.flat
     grads.losses = (rel_sum, coh_sum)
@@ -219,9 +214,7 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
 
 def clip_gradients(grads: Parameters, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm."""
-    # summed array by array, like ``regularizer``
-    total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None))
-                        for g in grads.values()))
+    total = math.sqrt(grads.flat @ grads.flat)
     if total > max_norm:
         grads.flat *= max_norm / total
     return total

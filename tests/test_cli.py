@@ -443,6 +443,11 @@ class TestExitCodes:
                      "must be positive", id="synth-all-0"),
         pytest.param(["sweep", "--lambdas", "0.5,2"], 1, "lambda1 value 2.0 "
                      "outside [0, 1]", id="lambdas-0.5,2"),
+        *[pytest.param([command, "--seed", "-1"], 1, "argument --seed: must "
+                       "be >= 0, got -1", id=f"{command}--seed--1")
+          for command in ("synth", "gradcheck", "probe")],
+        pytest.param(["train", "epochs = 2\nseed = -1\n"], 2, "seed must be "
+                     ">= 0, got -1", id="seed--1"),
     ])
     def test_malformed_numeric_input(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):
@@ -468,10 +473,14 @@ class TestExitCodes:
             model.write_bytes(self.checkpoint_bytes(tmp_path))
             argv = ["probe", "--model", str(model), "--data", str(data),
                     "--out", str(tmp_path / "probe.csv"), *argv[1:]]
+        # the refused command writes nothing
+        output = {"synth": tmp_path / "data", "train": tmp_path / "m",
+                  "probe": tmp_path / "probe.csv"}.get(argv[0])
         capsys.readouterr()
         assert run(*argv) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert output is None or not output.exists()
 
     def test_diverged_train_names_its_last_checkpoint(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import math
 from pathlib import Path
 
+import han_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,10 @@ from lshan import han as han_mod
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.han import (
     Parameters, SegmentationStrategy, _attention_forward, _bidir_forward,
-    _cell_forward, _emission, coherence_grad, coherence_loss, encode_video,
-    greedy_decode, han_param_items, init_params, kbest_decode, load_checkpoint,
-    param_layout, parse_strategy, save_checkpoint, segment_clips,
+    _cell_forward, _emission, _Padding, coherence_grad, coherence_loss,
+    encode_video, greedy_decode, han_param_items, init_params, kbest_decode,
+    load_checkpoint, param_layout, parse_strategy, save_checkpoint,
+    segment_clips,
 )
 from lshan.latent_space import project_video
 
@@ -36,6 +38,28 @@ def tiny_instance(seed=0, n=5, m=2, d_c=5, d_w=10):
     video = ClipFeatureSequence(rng.normal(size=(n, d_c)))
     sentence = Sentence(tuple(int(t) for t in rng.integers(2, d_w, size=m)))
     return video, sentence
+
+
+# The batched kernels sum in another order than the per-vector oracle, so
+# they are held to bounds: a whole buffer within 1e-12 of the oracle's norm,
+# each array within 1e-10 of its own largest entry, each loss within 1e-12
+# relative.
+def assert_close_norm(got, want, bound=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+
+def assert_close_arrays(got, want):
+    assert_close_norm(got.flat, want.flat)
+    for name, arr in want.items():
+        scale = np.abs(arr).max()
+        assert np.abs(got[name] - arr).max() <= 1e-10 * scale, name
+
+
+def padded(seqs):
+    """Sequences of one width as a zero-padded time-major stack."""
+    pad = _Padding([len(x) for x in seqs])
+    return pad.stack(np.concatenate(seqs)), pad
 
 
 def loop_segment_clips(n, strategy):
@@ -94,17 +118,26 @@ class TestSegmentation:
             parse_strategy("bogus")
 
 
+def cell_step(cell, x, state):
+    """``_cell_forward`` on the raw input ``x``."""
+    w, u, b = cell
+    return _cell_forward(u, x @ w.T + b, state)
+
+
+ZERO_STATE = (np.zeros(3), np.zeros(3))
+
+
 class TestCellStep:
     def test_zero_weights_zero_hidden(self):
         cell = (np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
-        (h, c), _ = _cell_forward(cell, np.array([1.0, -2.0]))
+        (h, c), _ = cell_step(cell, np.array([1.0, -2.0]), ZERO_STATE)
         assert not h.any() and not c.any()
 
     def test_state_stays_zero_under_zero_weights(self):
         cell = (np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
-        state = None
+        state = ZERO_STATE
         for _ in range(3):
-            state, _ = _cell_forward(cell, np.zeros(2), state)
+            state, _ = cell_step(cell, np.zeros(2), state)
         assert not state[0].any()
 
     def test_matches_scalar_recomputation(self):
@@ -114,7 +147,7 @@ class TestCellStep:
                           rng.normal(size=(4 * q, q)), rng.normal(size=4 * q))
         x = rng.normal(size=p)
         h_prev, c_prev = rng.normal(size=q), rng.normal(size=q)
-        (h, c), _ = _cell_forward(cell, x, (h_prev, c_prev))
+        (h, c), _ = cell_step(cell, x, (h_prev, c_prev))
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -130,26 +163,7 @@ class TestCellStep:
     def test_shape_mismatch(self):
         cell = (np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
         with pytest.raises(ValueError):
-            _cell_forward(cell, np.zeros(5))
-
-
-def cell_backward_by_step(cell, cache, dh, dc):
-    """One reverse LSTM step taken on its own, returning its parameter and
-    input gradients: the per-step oracle of ``_lstm_backward``."""
-    w, u, _ = cell
-    x, h_prev, c_prev, ifo, g, tc = cache
-    q = len(g)
-    i, f, o = ifo[:q], ifo[q:2 * q], ifo[2 * q:]
-    do = dh * tc
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dc_prev = dc * f
-    dz = np.concatenate([np.concatenate([dc * g, dc * c_prev, do])
-                         * ifo * (1 - ifo), dc * i * (1 - g * g)])
-    dw = dz[:, None] * x
-    du = dz[:, None] * h_prev
-    dx = w.T @ dz
-    dh_prev = u.T @ dz
-    return dw, du, dz, dx, dh_prev, dc_prev
+            cell_step(cell, np.zeros(5), ZERO_STATE)
 
 
 class TestLstmBackward:
@@ -161,30 +175,60 @@ class TestLstmBackward:
         rng = np.random.default_rng([steps, p])
         cell = (rng.normal(size=(4 * q, p)) * 0.5,
                 rng.normal(size=(4 * q, q)) * 0.5, rng.normal(size=4 * q))
-        xs = rng.normal(size=(steps, p))
-        state = (rng.normal(size=q), rng.normal(size=q))
-        _, caches = han_mod._lstm_forward(cell, xs, state)
-        dhs = rng.normal(size=(steps, q))
-        # the views start non-zero, as they do after a video's first segment
+        # a batch of sequences of 1..steps steps: the shorter ones padded
+        lengths = [steps, *rng.integers(1, steps + 1, size=3)]
+        xs = [rng.normal(size=(n, p)) for n in lengths]
+        dhs = [rng.normal(size=(n, q)) for n in lengths]
+        h0, c0 = rng.normal(size=(2, len(lengths), q))
+        # the views start non-zero, as they do for the second direction
         start = [rng.normal(size=a.shape) for a in cell]
-        got = [a.copy() for a in start]
-        dxs, dh0, dc0 = han_mod._lstm_backward(cell, caches, dhs, got)
 
         want = [a.copy() for a in start]
-        want_dxs = np.empty_like(xs)
-        dh, dc = np.zeros(q), np.zeros(q)
-        for t in range(steps - 1, -1, -1):
-            dw, du, db, dx, dh, dc = cell_backward_by_step(
-                cell, caches[t], dh + dhs[t], dc)
-            want[0] += dw
-            want[1] += du
-            want[2] += db
-            want_dxs[t] = dx
-        assert dxs.tobytes() == want_dxs.tobytes()
-        assert dh0.tobytes() == dh.tobytes()
-        assert dc0.tobytes() == dc.tobytes()
+        want_dxs, want_dh0, want_dc0 = [], [], []
+        for b, n in enumerate(lengths):
+            # the per-vector oracle, checked by bytes one cell step at a time
+            _, caches = oracle.lstm_forward(cell, xs[b], (h0[b], c0[b]))
+            got_b = [np.zeros_like(a) for a in cell]
+            dxs_b, dh_b, dc_b = oracle.lstm_backward(cell, caches, dhs[b], got_b)
+            steps_b = [np.zeros_like(a) for a in cell]
+            step_dxs = np.empty_like(xs[b])
+            dh, dc = np.zeros(q), np.zeros(q)
+            for t in range(n - 1, -1, -1):
+                dw, du, db, dx, dh, dc = oracle.cell_backward_by_step(
+                    cell, caches[t], dh + dhs[b][t], dc)
+                steps_b[0] += dw
+                steps_b[1] += du
+                steps_b[2] += db
+                step_dxs[t] = dx
+            assert dxs_b.tobytes() == step_dxs.tobytes()
+            assert (dh_b.tobytes(), dc_b.tobytes()) == (dh.tobytes(),
+                                                        dc.tobytes())
+            for g, w in zip(got_b, steps_b):
+                assert g.tobytes() == w.tobytes()
+            for acc, g in zip(want, got_b):
+                acc += g
+            want_dxs.append(dxs_b)
+            want_dh0.append(dh_b)
+            want_dc0.append(dc_b)
+
+        x_stack, pad = padded(xs)
+        _, cache = han_mod._lstm_forward(cell, x_stack, (h0, c0))
+        got = [a.copy() for a in start]
+        dxs, dh0, dc0 = han_mod._lstm_backward(cell, cache,
+                                               padded(dhs)[0], got)
+        assert_close_norm(dxs[pad.at], np.concatenate(want_dxs))
+        assert not dxs[~pad.valid].any()
+        assert_close_norm(dh0, want_dh0)
+        assert_close_norm(dc0, want_dc0)
         for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+            assert_close_norm(g, w)
+
+
+def bidir(fwd, bwd, seqs):
+    """``_bidir_forward`` over a padded batch of ``seqs``, unpadded."""
+    xs, pad = padded(seqs)
+    hs = _bidir_forward(fwd, bwd, xs, pad)[0]
+    return [hs[:len(x), b] for b, x in enumerate(seqs)]
 
 
 class TestBidirectional:
@@ -201,9 +245,9 @@ class TestBidirectional:
     def test_length_one(self):
         fwd, bwd = self.make_cells(0)
         x = np.random.default_rng(1).normal(size=(1, 3))
-        hs = _bidir_forward(fwd, bwd, x)[0]
-        (h_fwd, _), _ = _cell_forward(fwd, x[0])
-        (h_bwd, _), _ = _cell_forward(bwd, x[0])
+        hs = bidir(fwd, bwd, [x])[0]
+        (h_fwd, _), _ = oracle.cell_forward(fwd, x[0])
+        (h_bwd, _), _ = oracle.cell_forward(bwd, x[0])
         np.testing.assert_allclose(hs[0, :4], h_fwd)
         np.testing.assert_allclose(hs[0, 4:], h_bwd)
 
@@ -212,23 +256,31 @@ class TestBidirectional:
         rng = np.random.default_rng(3)
         half = rng.normal(size=(3, 3))
         xs = np.concatenate([half, half[::-1]])
-        hs = _bidir_forward(fwd, bwd, xs)[0]
+        # padded beside a longer sequence, it reads the same
+        hs = bidir(fwd, bwd, [xs, rng.normal(size=(9, 3))])[0]
         # reversing a palindrome swaps forward and backward halves
         swapped = np.concatenate([hs[::-1, 4:], hs[::-1, :4]], axis=1)
         np.testing.assert_allclose(hs, swapped, atol=1e-12)
 
     def test_equals_two_unidirectional_runs(self):
         fwd, bwd = self.make_cells(4)
-        xs = np.random.default_rng(5).normal(size=(6, 3))
-        hs = _bidir_forward(fwd, bwd, xs)[0]
-        state = None
-        for t in range(6):
-            state, _ = _cell_forward(fwd, xs[t], state)
-            np.testing.assert_allclose(hs[t, :4], state[0], atol=1e-12)
-        state = None
-        for t in range(5, -1, -1):
-            state, _ = _cell_forward(bwd, xs[t], state)
-            np.testing.assert_allclose(hs[t, 4:], state[0], atol=1e-12)
+        rng = np.random.default_rng(5)
+        seqs = [rng.normal(size=(n, 3)) for n in (6, 1, 4, 6, 2)]
+        for xs, hs in zip(seqs, bidir(fwd, bwd, seqs)):
+            state = None
+            for t in range(len(xs)):
+                state, _ = oracle.cell_forward(fwd, xs[t], state)
+                np.testing.assert_allclose(hs[t, :4], state[0], atol=1e-12)
+            state = None
+            for t in range(len(xs) - 1, -1, -1):
+                state, _ = oracle.cell_forward(bwd, xs[t], state)
+                np.testing.assert_allclose(hs[t, 4:], state[0], atol=1e-12)
+
+
+def pool(params, seqs):
+    """``_attention_forward`` over a padded batch of ``seqs``."""
+    hs, pad = padded(seqs)
+    return _attention_forward(params, hs, pad.valid)[0]
 
 
 class TestAttentionPool:
@@ -240,51 +292,76 @@ class TestAttentionPool:
     def test_single_vector_identity(self):
         params = self.make_params(0)
         h = np.random.default_rng(1).normal(size=(1, 4))
-        np.testing.assert_allclose(_attention_forward(params, h)[0], h[0],
-                                   atol=1e-12)
+        np.testing.assert_allclose(pool(params, [h])[0], h[0], atol=1e-12)
 
     def test_identical_vectors_identity(self):
         params = self.make_params(2)
         h = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (5, 1))
-        np.testing.assert_allclose(_attention_forward(params, h)[0], h[0],
-                                   atol=1e-12)
+        # the padding of a shorter column takes no weight
+        pooled = pool(params, [h, h[:2], h[:1]])
+        np.testing.assert_allclose(pooled, np.tile(h[0], (3, 1)), atol=1e-12)
 
     def test_matches_explicit_weighted_sum(self):
         params = proj, bias, query = self.make_params(3)
-        hs = np.random.default_rng(4).normal(size=(6, 4))
-        scores = np.array([query @ np.tanh(proj @ h + bias) for h in hs])
-        weights = np.exp(scores) / np.exp(scores).sum()
-        np.testing.assert_allclose(_attention_forward(params, hs)[0],
-                                   weights @ hs, atol=1e-12)
-        assert weights.sum() == pytest.approx(1.0)
+        rng = np.random.default_rng(4)
+        seqs = [rng.normal(size=(n, 4)) for n in (6, 2, 1, 5)]
+        for hs, pooled in zip(seqs, pool(params, seqs)):
+            scores = np.array([query @ np.tanh(proj @ h + bias) for h in hs])
+            weights = np.exp(scores) / np.exp(scores).sum()
+            np.testing.assert_allclose(pooled, weights @ hs, atol=1e-12)
+            assert weights.sum() == pytest.approx(1.0)
+
+
+def mixed_videos(rng, count, d_c=5):
+    """One long video and ``count - 1`` short ones, some of a single clip."""
+    return [ClipFeatureSequence(rng.normal(size=(n, d_c)))
+            for n in (int(rng.integers(15, 30)),
+                      *rng.integers(1, 6, size=count - 1))]
 
 
 class TestEncodeVideo:
     def test_even_seven_gives_seven_segments(self):
         ls, han = tiny_model()
-        clips = np.random.default_rng(0).normal(size=(14, 6))
-        enc = encode_video(han, clips, segment_clips(14, even(7)))
-        assert len(enc.cache[1]) == 7
-
-    def test_rejects_bad_segmentation(self):
-        ls, han = tiny_model()
-        clips = np.zeros((4, 6))
-        with pytest.raises(ValueError):
-            encode_video(han, clips, [(0, 2), (3, 4)])
+        video = ClipFeatureSequence(np.random.default_rng(0).normal(
+            size=(14, 5)))
+        (clip_level, word_level), _ = encode_video(han, [video],
+                                                   even(7)).cache
+        assert clip_level[0].valid.shape == (2, 7)   # 7 segments of 2 clips
+        assert word_level[0].valid.shape == (7, 1)   # one video of 7
 
     def test_single_segment_composition(self):
         ls, han = tiny_model(1)
-        clips = np.random.default_rng(2).normal(size=(5, 6))
-        enc = encode_video(han, clips, [(0, 5)])
-        clip_h, _ = _bidir_forward(han.group("clip_fwd"), han.group("clip_bwd"),
-                                   clips)
-        seg_vec, _ = _attention_forward(han.group("clip_att"), clip_h)
-        word_h, _ = _bidir_forward(han.group("word_fwd"), han.group("word_bwd"),
-                                   seg_vec[None, :])
-        u, _ = _attention_forward(han.group("word_att"), word_h)
-        np.testing.assert_allclose(enc.cache[-1], u, atol=1e-12)
-        np.testing.assert_allclose(enc.h0, han["init_h.w"] @ u + han["init_h.b"],
+        video = ClipFeatureSequence(np.random.default_rng(2).normal(
+            size=(5, 5)))
+        enc = encode_video(han, [video], even(1))
+        clip_h, _ = oracle.bidir_forward(han.group("clip_fwd"),
+                                         han.group("clip_bwd"),
+                                         project_video(ls.t_v, video))
+        seg_vec, _ = oracle.attention_forward(han.group("clip_att"), clip_h)
+        word_h, _ = oracle.bidir_forward(han.group("word_fwd"),
+                                         han.group("word_bwd"),
+                                         seg_vec[None, :])
+        u, _ = oracle.attention_forward(han.group("word_att"), word_h)
+        np.testing.assert_allclose(enc.cache[-1][0], u, atol=1e-12)
+        np.testing.assert_allclose(enc.h0[0],
+                                   han["init_h.w"] @ u + han["init_h.b"],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", [TWO, PAIR, even(3), even(7)],
+                             ids=str)
+    def test_batches_match_per_video_encoder(self, strategy):
+        for case in range(12):
+            rng = np.random.default_rng([case, *str(strategy).encode()])
+            ls, han = init_params(rng, 6, 5, 10, int(rng.integers(2, 9)), 5)
+            han.flat *= rng.uniform(0.5, 3.0)
+            videos = mixed_videos(rng, case % 5 + 1)
+            enc = encode_video(han, videos, strategy)
+            for b, video in enumerate(videos):
+                h0, c0, _ = oracle.encode_video(
+                    han, project_video(ls.t_v, video),
+                    segment_clips(video.n, strategy))
+                assert_close_norm(enc.h0[b], h0)
+                assert_close_norm(enc.c0[b], c0)
 
 
 class TestEmission:
@@ -293,7 +370,7 @@ class TestEmission:
         han["emit_w"][...] = 0.0
         han["emit_b"][...] = 0.0
         h = np.random.default_rng(0).normal(size=8)
-        p = np.exp(_emission(han, h)[0])
+        p = np.exp(_emission(han, h))
         np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-12)
 
     def test_large_bias_is_stable(self):
@@ -301,7 +378,7 @@ class TestEmission:
         han["emit_w"][...] = 0.0
         han["emit_b"][...] = 0.0
         han["emit_b"][3] = 1000.0
-        p = np.exp(_emission(han, np.zeros(8))[0])
+        p = np.exp(_emission(han, np.zeros(8)))
         assert np.isfinite(p).all()
         assert p[3] == pytest.approx(1.0, abs=1e-12)
 
@@ -310,7 +387,7 @@ class TestEmission:
         h = np.random.default_rng(6).normal(size=8)
         logits = han["emit_w"] @ h + han["emit_b"]
         naive = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(np.exp(_emission(han, h)[0]), naive,
+        np.testing.assert_allclose(np.exp(_emission(han, h)), naive,
                                    atol=1e-12)
 
     @given(st.integers(0, 1000))
@@ -318,21 +395,20 @@ class TestEmission:
     def test_distribution_invariants(self, seed):
         ls, han = tiny_model(seed % 7)
         h = np.random.default_rng(seed).normal(size=8) * 5
-        p = np.exp(_emission(han, h)[0])
+        p = np.exp(_emission(han, h))
         assert abs(p.sum() - 1.0) <= 1e-12
         assert (p > 0).all()
 
     def test_stack_rows_match_single_states(self):
-        # the teacher-forced stack and the decoder's single states must round
-        # alike, or the loss would score other numbers than the beam does
+        # the teacher-forced stack and the decoder's single states score
+        # the same numbers, within the bound of the batched kernels
         ls, han = tiny_model(4)
         hs = np.random.default_rng(8).normal(size=(9, 8)) * 3
-        log_probs, e, total = _emission(han, hs)
+        log_probs = _emission(han, hs)
         for t, h in enumerate(hs):
-            log_p, e_t, total_t = _emission(han, h)
-            assert log_probs[t].tobytes() == log_p.tobytes()
-            assert (e[t] / total[t]).tobytes() == (e_t / total_t).tobytes()
-        np.testing.assert_allclose(np.exp(log_probs), e / total, rtol=1e-14)
+            assert_close_norm(log_probs[t], _emission(han, h))
+        np.testing.assert_allclose(_emission(han, hs.reshape(3, 3, 8)),
+                                   log_probs.reshape(3, 3, 10), rtol=1e-14)
 
 
 class TestCoherenceLoss:
@@ -365,13 +441,14 @@ class TestCoherenceLoss:
         strategy = even(3)
         loss = coherence_loss(han, ls, video, sentence, strategy)
         latent = video.clips @ ls.t_v.T
-        enc = encode_video(han, latent, segment_clips(video.n, strategy))
-        state = (enc.h0, enc.c0)
+        h0, c0, _ = oracle.encode_video(han, latent,
+                                        segment_clips(video.n, strategy))
+        state = (h0, c0)
         expected = 0.0
         for token, target in zip((0,) + sentence.tokens, sentence.tokens + (1,)):
-            state, _ = _cell_forward(han.group("decoder"), ls.t_s[:, token],
-                                     state)
-            expected -= _emission(han, state[0])[0][target]
+            state, _ = oracle.cell_forward(han.group("decoder"),
+                                           ls.t_s[:, token], state)
+            expected -= _emission(han, state[0])[target]
         assert loss == pytest.approx(expected, abs=1e-10)
 
     def test_permutation_sensitive(self):
@@ -418,11 +495,13 @@ class TestDecoding:
         for seed in range(8):
             ls, han = tiny_model(seed)
             video, _ = tiny_instance(seed)
-            enc = han_mod._encode(han, ls, video, han_mod.DEFAULT_STRATEGY)
-            state = (enc.h0, enc.c0)
+            enc = encode_video(han, [video], han_mod.DEFAULT_STRATEGY)
+            state = (enc.h0[0], enc.c0[0])
+            w, _, b = han.group("decoder")
             token, argmax_tokens = 0, []
             while len(argmax_tokens) < 6:
-                state, log_p = han_mod._decode_step(han, ls, state, token)
+                state, log_p = han_mod._decode_step(
+                    han, ls.t_s[:, token] @ w.T + b, state)
                 token = int(np.argmax(log_p))
                 if token == 1:
                     break
@@ -437,10 +516,16 @@ class TestDecoding:
             rng = np.random.default_rng(seed)
             state = (rng.normal(size=8), rng.normal(size=8))
             token = int(rng.integers(0, 4 + seed))
-            (h, c), log_p = han_mod._decode_step(han, ls, state, token)
-            (h_ref, c_ref), _ = _cell_forward(han.group("decoder"),
-                                              ls.t_s[:, token], state)
-            logits = han["emit_w"] @ h_ref + han["emit_b"]
+            w, _, b = han.group("decoder")
+            (h, c), log_p = han_mod._decode_step(
+                han, ls.t_s[:, token] @ w.T + b, state)
+            (h_ref, c_ref), _ = cell_step(han.group("decoder"),
+                                          ls.t_s[:, token], state)
+            (h_old, c_old), _ = oracle.cell_forward(han.group("decoder"),
+                                                    ls.t_s[:, token], state)
+            assert_close_norm(h_ref, h_old)
+            assert_close_norm(c_ref, c_old)
+            logits = h_ref @ han["emit_w"].T + han["emit_b"]
             logits = logits - logits.max()
             expected = logits - np.log(np.exp(logits).sum())
             expected[0] = -np.inf
@@ -466,15 +551,16 @@ class TestDecoding:
         # a sentence shorter than max_len pays for its #End emission, a
         # truncated one does not
         def score(tokens):
-            enc = encode_video(han, video.clips @ ls.t_v.T,
-                               segment_clips(video.n, han_mod.DEFAULT_STRATEGY))
-            state = (enc.h0, enc.c0)
+            h0, c0, _ = oracle.encode_video(
+                han, video.clips @ ls.t_v.T,
+                segment_clips(video.n, han_mod.DEFAULT_STRATEGY))
+            state = (h0, c0)
             total = 0.0
             prev = 0
             for w in list(tokens) + ([1] if len(tokens) < max_len else []):
-                state, _ = _cell_forward(han.group("decoder"), ls.t_s[:, prev],
-                                         state)
-                total += float(_emission(han, state[0])[0][w])
+                state, _ = oracle.cell_forward(han.group("decoder"),
+                                               ls.t_s[:, prev], state)
+                total += float(_emission(han, state[0])[w])
                 prev = w
             return total
 
@@ -504,41 +590,6 @@ class TestDecoding:
         assert kbest_decode(han, ls, video, k=k, max_len=2) == expected[:k]
 
 
-def coherence_grad_by_steps(han, ls, video, sentence, strategy):
-    """``coherence_grad`` with the emission and its gradient taken one decoder
-    step at a time, the loss as ``log(e / e.sum())``: the test's oracle."""
-    enc = encode_video(han, project_video(ls.t_v, video),
-                       segment_clips(video.n, strategy))
-    input_tokens = (0,) + sentence.tokens
-    targets = sentence.tokens + (1,)
-    hs, caches = han_mod._lstm_forward(han.group("decoder"),
-                                       ls.t_s[:, input_tokens].T,
-                                       (enc.h0, enc.c0))
-    probs = []
-    loss = 0.0
-    for h, target in zip(hs, targets):
-        logits = han["emit_w"] @ h + han["emit_b"]
-        e = np.exp(logits - logits.max())
-        p = e / e.sum()
-        loss -= float(np.log(p[target]))
-        probs.append(p)
-    grads = Parameters(han.layout)
-    dhs = np.empty_like(hs)
-    for t in range(len(hs) - 1, -1, -1):
-        dlogits = probs[t].copy()
-        dlogits[targets[t]] -= 1.0
-        grads["emit_w"] += np.outer(dlogits, hs[t])
-        grads["emit_b"] += dlogits
-        dhs[t] = han["emit_w"].T @ dlogits
-    dxs, dh0, dc0 = han_mod._lstm_backward(han.group("decoder"), caches, dhs,
-                                           grads.group("decoder"))
-    for t in range(len(dxs) - 1, -1, -1):
-        grads["t_s"][:, input_tokens[t]] += dxs[t]
-    dlatent = han_mod._encode_backward(han, enc, dh0, dc0, grads, video.n)
-    grads["t_v"] = dlatent.T @ video.clips
-    return loss, grads
-
-
 class TestCoherenceGrad:
     @pytest.mark.parametrize("strategy", [TWO, PAIR, even(3), even(7)],
                              ids=str)
@@ -556,23 +607,49 @@ class TestCoherenceGrad:
             video = ClipFeatureSequence(rng.normal(size=(m + int(
                 rng.integers(0, 12)), 5)))
             repeated += len(set(sentence.tokens)) < m
-            loss, grads = coherence_grad(han, ls, video, sentence, strategy)
-            want_loss, want = coherence_grad_by_steps(han, ls, video,
-                                                      sentence, strategy)
-            for name, arr in grads.items():
-                assert arr.tobytes() == want[name].tobytes(), (case, name)
-            assert loss == pytest.approx(want_loss, rel=1e-15, abs=0.0)
+            (loss,), grads = coherence_grad(han, ls, [(video, sentence)],
+                                            strategy)
+            want_loss, want = oracle.coherence_grad(han, ls, video, sentence,
+                                                    strategy)
+            assert_close_arrays(grads, want)
+            assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
             assert loss == coherence_loss(han, ls, video, sentence, strategy)
         assert repeated >= 20
+
+    @pytest.mark.parametrize("strategy", [TWO, PAIR, even(3), even(7)],
+                             ids=str)
+    def test_batches_match_per_instance_sum(self, strategy):
+        # mixed batches, B = 1 to 5: a long video beside short ones, single
+        # clips and one-word sentences among them
+        one_word = 0
+        for case in range(24):
+            rng = np.random.default_rng([case, 7, *str(strategy).encode()])
+            ls, han = init_params(rng, 6, 5, 10, int(rng.integers(2, 9)), 5)
+            han.flat *= rng.uniform(0.5, 3.0)
+            batch = []
+            for video in mixed_videos(rng, case % 5 + 1):
+                m = int(rng.integers(1, min(video.n, 8) + 1))
+                batch.append((video, Sentence(tuple(
+                    int(w) for w in rng.integers(2, 10, size=m)))))
+                one_word += m == 1
+            losses, grads = coherence_grad(han, ls, batch, strategy)
+            want = Parameters(han.layout)
+            for (video, sentence), loss in zip(batch, losses, strict=True):
+                want_loss, g = oracle.coherence_grad(han, ls, video, sentence,
+                                                     strategy)
+                want.flat += g.flat
+                assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+            assert_close_arrays(grads, want)
+        assert one_word >= 5
 
     def test_emission_bias_closed_form(self):
         ls, han = tiny_model(13)
         video, sentence = tiny_instance(13, n=5, m=2)
-        _, fwd = han_mod._coherence_forward(han, ls, video, sentence,
+        _, fwd = han_mod._coherence_forward(han, ls, [(video, sentence)],
                                             han_mod.DEFAULT_STRATEGY)
-        probs, targets = fwd[4], fwd[2]
+        probs, targets = np.exp(fwd[-1]), fwd[3]
         expected = sum(p - np.eye(10)[t] for p, t in zip(probs, targets))
-        _, grads = coherence_grad(han, ls, video, sentence)
+        _, grads = coherence_grad(han, ls, [(video, sentence)])
         np.testing.assert_allclose(grads["emit_b"], expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -580,7 +657,8 @@ class TestCoherenceGrad:
         ls, han = tiny_model(seed + 30)
         video, sentence = tiny_instance(seed + 30, n=5, m=2)
         strategy = even(3)
-        value, grads = coherence_grad(han, ls, video, sentence, strategy)
+        (value,), grads = coherence_grad(han, ls, [(video, sentence)],
+                                         strategy)
         eps = 1e-5
 
         def loss():
