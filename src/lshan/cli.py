@@ -66,7 +66,8 @@ def _load_split(data_dir: Path, split: str) -> corpus_mod.Dataset:
 
 def _load_model_and_split(args):
     """``(ls, han, strategy, dataset)``: ``--model`` under ``--strategy`` if
-    given, and the split of ``--data`` it reads, which must share its words."""
+    given, and the split of ``--data`` it reads, which must share its words
+    and its feature dim."""
     ls, han, strategy = han_mod.load_checkpoint(args.model)
     if getattr(args, "strategy", None):
         strategy = han_mod.parse_strategy(args.strategy)
@@ -75,6 +76,10 @@ def _load_model_and_split(args):
     if words != vocab:
         raise ValueError(f"{args.model}: the checkpoint has {words} words, but "
                          f"{Path(args.data) / 'vocab.txt'} has {vocab}")
+    width, dim = ls.t_v.shape[1], dataset.instances[0][0].dim
+    if width != dim:
+        raise ValueError(f"{args.model}: the checkpoint has {width}-dim "
+                         f"features, but {args.data} has {dim}-dim features")
     return ls, han, strategy, dataset
 
 

@@ -468,8 +468,7 @@ def greedy_decode(han: Parameters, ls: LatentSpaceParams,
                   max_len: int = 30) -> tuple[int, ...]:
     """Most-probable-word decoding, the k=1 beam; stops at #End or max_len
     tokens."""
-    best = kbest_decode(han, ls, video, strategy, 1, max_len)
-    return best[0][0] if best else ()
+    return kbest_decode(han, ls, video, strategy, 1, max_len)[0][0]
 
 
 def kbest_decode(han: Parameters, ls: LatentSpaceParams,

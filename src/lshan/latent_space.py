@@ -180,37 +180,33 @@ def relevance_loss(params: LatentSpaceParams, video: ClipFeatureSequence,
 
 
 def relevance_grad(params: LatentSpaceParams, batch, policies
-                   ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Per instance of ``batch``, under its policy in ``policies``, in order:
-    the relevance loss and its subgradients w.r.t. the two projections.
+                   ) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """``(losses, g_tv, g_ts)``: the relevance loss of each instance of
+    ``batch`` under its policy in ``policies``, in batch order, and the
+    subgradients of their sum w.r.t. the two projections.
 
     The min is differentiated through the tie-broken argmin path; along it
     d(i,j) = ||T_v v_i - T_s s_j|| contributes (u v_i^T, -u e_{s_j}^T) with
-    u = (T_v v_i - T_s s_j) / d(i,j), and zero where d(i,j) vanishes.
-
-    The whole path is taken at once, yet each sum runs in path order from
-    zero, as a per-cell loop of ``+=`` and ``-=`` would: ``np.add.reduce``
-    over the leading axis adds the outer products cell after cell, and
-    ``np.subtract.at`` applies a repeated token's updates in clip order. So
-    the result is bit-identical to that loop.
+    u = (T_v v_i - T_s s_j) / d(i,j), and zero where d(i,j) vanishes. A path
+    takes every clip once, in order, so the batch's paths pair its clips,
+    concatenated, with the words the paths gather.
     """
     latents = [(project_video(params.t_v, video),
                 project_sentence(params.t_s, sentence), policy)
                for (video, sentence), policy in zip(batch, policies, strict=True)]
-    results = []
-    for (video, sentence), (v_lat, s_lat, _), table in zip(
-            batch, latents, dtw_batch(latents)):
-        jj = backtrack(table).words
-        ii = np.arange(jj.size)
-        d = table.dist[ii, jj]
-        keep = d >= DEGENERATE_DISTANCE
-        ii, jj, d = ii[keep], jj[keep], d[keep]
-        unit = (v_lat[ii] - s_lat[jj]) / d[:, None]
-        g_tv = np.add.reduce(unit[:, :, None] * video.clips[ii][:, None, :], 0)
-        g_ts = np.zeros_like(params.t_s)
-        np.subtract.at(g_ts.T, np.asarray(sentence.tokens)[jj], unit)
-        results.append((table.total, g_tv, g_ts))
-    return results
+    tables = dtw_batch(latents)
+    paths = [backtrack(table).words for table in tables]
+    dist = np.concatenate([table.dist[np.arange(words.size), words]
+                           for table, words in zip(tables, paths)])
+    keep = dist >= DEGENERATE_DISTANCE
+    tokens = np.concatenate([np.asarray(sentence.tokens)[words]
+                             for (_, sentence), words in zip(batch, paths)])[keep]
+    v_lat = np.concatenate([v_lat for v_lat, _, _ in latents])[keep]
+    unit = (v_lat - params.t_s.T[tokens]) / dist[keep, None]
+    g_ts = np.zeros_like(params.t_s)
+    np.subtract.at(g_ts.T, tokens, unit)
+    clips = np.concatenate([video.clips for video, _ in batch])[keep]
+    return [table.total for table in tables], unit.T @ clips, g_ts
 
 
 def path_margin(table: DtwTable, path: AlignmentPath) -> float:

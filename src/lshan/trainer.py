@@ -36,7 +36,6 @@ class TrainingDiverged(RuntimeError):
         if last_checkpoint is not None:
             message += f"; last checkpoint {last_checkpoint}"
         super().__init__(message)
-        self.last_checkpoint = last_checkpoint
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class EpochStats:
 class TrainState:
     ls: LatentSpaceParams
     han: Parameters   # the whole parameter buffer; ``ls`` views part of it
+    rng: np.random.Generator
     history: list[EpochStats] = field(default_factory=list)
-    rng: np.random.Generator | None = None
 
 
 def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
@@ -197,11 +196,11 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
     scale = 1.0 / len(batch)
     rel_sum = coh_sum = 0.0
     if cfg.lambda1 > 0.0:
-        for rel, g_tv, g_ts in ls_mod.relevance_grad(
-                ls, batch, [_policy_for(v, s, cfg) for v, s in batch]):
-            rel_sum += rel
-            grads["t_v"] += cfg.lambda1 * scale * g_tv
-            grads["t_s"] += cfg.lambda1 * scale * g_ts
+        losses, g_tv, g_ts = ls_mod.relevance_grad(
+            ls, batch, [_policy_for(v, s, cfg) for v, s in batch])
+        rel_sum = sum(losses)
+        grads["t_v"] = cfg.lambda1 * scale * g_tv
+        grads["t_s"] = cfg.lambda1 * scale * g_ts
     if cfg.lambda1 < 1.0:
         losses, g_coh = han_mod.coherence_grad(han, ls, batch, cfg.strategy)
         coh_sum = sum(losses)
@@ -220,13 +219,12 @@ def clip_gradients(grads: Parameters, max_norm: float) -> float:
     return total
 
 
-def sgd_step(state: TrainState, grads: Parameters, rate: float) -> TrainState:
+def sgd_step(state: TrainState, grads: Parameters, rate: float) -> None:
     """In-place descent step p <- p - rate * g; aborts on non-finite results."""
     state.han.flat -= rate * grads.flat
     name = state.han.first_non_finite()
     if name is not None:
         raise TrainingDiverged(f"parameter group {name!r} became non-finite")
-    return state
 
 
 def learning_rate_at(cfg: TrainingConfig, epoch: int) -> float:
@@ -237,7 +235,7 @@ def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
     rng = np.random.default_rng(cfg.seed)
     ls, han = han_mod.init_params(rng, cfg.latent_dim, d_c, d_w,
                                   cfg.hidden_size, cfg.attention_size)
-    return TrainState(ls, han, rng=rng)
+    return TrainState(ls, han, rng)
 
 
 def train(dataset: Dataset, cfg: TrainingConfig,

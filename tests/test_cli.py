@@ -195,8 +195,8 @@ class TestExitCodes:
         run(*synth_args(out))
         assert run("eval", "--model", str(junk), "--data", str(out)) == 1
 
-    def checkpoint_bytes(self, tmp_path, d_w=8):
-        _, han = han_mod.init_params(np.random.default_rng(0), 4, 5, d_w, 6, 4)
+    def checkpoint_bytes(self, tmp_path, d_w=8, d_c=5):
+        _, han = han_mod.init_params(np.random.default_rng(0), 4, d_c, d_w, 6, 4)
         path = tmp_path / "model.lshn"
         han_mod.save_checkpoint(path, han, han_mod.DEFAULT_STRATEGY)
         return path.read_bytes()
@@ -263,6 +263,8 @@ class TestExitCodes:
         ("model_more_words", 1, "model.lshn: the checkpoint has 12 words, "
          "but"),
         ("model_fewer_words", 1, "the checkpoint has 6 words, but"),
+        ("model_other_feature_dim", 1, "model.lshn: the checkpoint has "
+         "16-dim features, but {data} has 5-dim features"),
         ("model_zero_dimension", 1, "model.lshn: a zero dimension in the "
          "header (d_c=5, d_w=8, d_s=4, q=0, q_att=0)"),
         ("data_a_file", 2,
@@ -337,6 +339,8 @@ class TestExitCodes:
         elif case.endswith("_words"):
             d_w = 12 if case == "model_more_words" else 6
             model.write_bytes(self.checkpoint_bytes(tmp_path, d_w))
+        elif case == "model_other_feature_dim":
+            model.write_bytes(self.checkpoint_bytes(tmp_path, d_c=16))
         elif case == "model_zero_dimension":
             han_mod.save_checkpoint(model, han_mod.Parameters(
                 han_mod.param_layout(4, 5, 8, 0, 0)), han_mod.DEFAULT_STRATEGY)

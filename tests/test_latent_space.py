@@ -102,8 +102,25 @@ def lockstep_batches(rng, count):
 
 
 def one_relevance_grad(params, video, sentence, policy=None):
-    """``relevance_grad`` of a one-instance batch."""
-    return relevance_grad(params, [(video, sentence)], [policy])[0]
+    """``relevance_grad`` of a one-instance batch, as (loss, g_tv, g_ts)."""
+    (loss,), g_tv, g_ts = relevance_grad(params, [(video, sentence)], [policy])
+    return loss, g_tv, g_ts
+
+
+def assert_matches_instance_sum(params, batch, policies, oracle):
+    """``relevance_grad`` of ``batch`` against ``oracle`` run per instance:
+    every loss byte for byte, and each projection's gradient within 1e-12
+    norm-wise of the sum of the oracle's, so exactly 0 where that sum is."""
+    losses, g_tv, g_ts = relevance_grad(params, batch, policies)
+    want = [oracle(params, video, sentence, policy)
+            for (video, sentence), policy in zip(batch, policies)]
+    assert [np.float64(loss).tobytes() for loss in losses] \
+        == [np.float64(loss).tobytes() for loss, _, _ in want]
+    for got, want_sum in ((g_tv, sum(w[1] for w in want)),
+                          (g_ts, sum(w[2] for w in want))):
+        assert got.shape == want_sum.shape
+        assert np.linalg.norm(got - want_sum) \
+            <= 1e-12 * np.linalg.norm(want_sum)
 
 
 def instance_relevance_grad(params, video, sentence, policy=None):
@@ -524,12 +541,8 @@ class TestRelevance:
         for n, m in relevance_shapes(rng, 1200):
             params, video, sentence = relevance_case(rng, n, m)
             for policy in (None, window_policy(n, m)):
-                got = one_relevance_grad(params, video, sentence, policy)
-                want = loop_relevance_grad(params, video, sentence, policy)
-                assert np.float64(got[0]).tobytes() \
-                    == np.float64(want[0]).tobytes()
-                assert got[1].tobytes() == want[1].tobytes()
-                assert got[2].tobytes() == want[2].tobytes()
+                assert_matches_instance_sum(params, [(video, sentence)],
+                                            [policy], loop_relevance_grad)
             table = dtw(project_video(params.t_v, video),
                         project_sentence(params.t_s, sentence))
             path_dist = table.dist[np.arange(n), backtrack(table).words]
@@ -545,14 +558,31 @@ class TestRelevance:
             params, batch = relevance_batch(rng, shapes)
             policies = [window_policy(n, m) if rng.random() < 0.5 else None
                         for n, m in shapes]
-            got = relevance_grad(params, batch, policies)
-            assert len(got) == len(batch)
-            for (video, sentence), policy, result in zip(batch, policies, got):
-                want = instance_relevance_grad(params, video, sentence, policy)
-                assert np.float64(result[0]).tobytes() \
-                    == np.float64(want[0]).tobytes()
-                assert result[1].tobytes() == want[1].tobytes()
-                assert result[2].tobytes() == want[2].tobytes()
+            assert_matches_instance_sum(params, batch, policies,
+                                        instance_relevance_grad)
+
+    def test_batch_of_degenerate_cells_and_of_one_token(self):
+        rng = np.random.default_rng(23)
+        # every clip projects onto every word: no path cell has a direction
+        params = LatentSpaceParams(np.eye(2), np.ones((2, 5)))
+        batch = [(ClipFeatureSequence(np.ones((n, 2))), Sentence(tokens))
+                 for n, tokens in ((1, (2,)), (4, (3, 2)), (6, (4, 4, 2)))]
+        losses, g_tv, g_ts = relevance_grad(params, batch, [None] * 3)
+        assert losses == [0.0, 0.0, 0.0]
+        assert g_tv.shape == (2, 2) and not g_tv.any()
+        assert g_ts.shape == (2, 5) and not g_ts.any()
+        assert_matches_instance_sum(params, batch, [None] * 3,
+                                    loop_relevance_grad)
+        # one token, within and across sentences, takes every path cell
+        params = LatentSpaceParams(rng.normal(size=(3, 4)),
+                                   rng.normal(size=(3, 5)))
+        batch = [(ClipFeatureSequence(rng.normal(size=(n, 4))),
+                  Sentence((3,) * m)) for n, m in ((5, 3), (1, 1), (7, 7))]
+        policies = [window_policy(5, 3), None, window_policy(7, 7)]
+        _, _, g_ts = relevance_grad(params, batch, policies)
+        assert np.flatnonzero(g_ts.any(axis=0)).tolist() == [3]
+        for oracle in (instance_relevance_grad, loop_relevance_grad):
+            assert_matches_instance_sum(params, batch, policies, oracle)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(16)
