@@ -140,14 +140,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_align(args) -> int:
     ls, _, _, dataset = _load_model_and_split(args)
-    rows = []
-    for idx, (video, sentence) in enumerate(dataset.instances):
-        policy = ls_mod.window_policy(video.n, sentence.length) \
-            if args.windowed else None
-        v_lat = ls_mod.project_video(ls.t_v, video)
-        s_lat = ls_mod.project_sentence(ls.t_s, sentence)
-        path = ls_mod.backtrack(ls_mod.dtw(v_lat, s_lat, policy))
-        rows.extend((idx, i, j) for i, j in enumerate(path.words.tolist()))
+    tables = ls_mod.dtw_batch([(
+        ls_mod.project_video(ls.t_v, video),
+        ls_mod.project_sentence(ls.t_s, sentence),
+        ls_mod.window_policy(video.n, sentence.length) if args.windowed else None)
+        for video, sentence in dataset.instances])
+    rows = [(idx, i, j) for idx, table in enumerate(tables)
+            for i, j in enumerate(ls_mod.backtrack(table).words.tolist())]
     out = Path(args.out)
     corpus_mod.write_csv(out, ["instance_id", "clip_index", "word_index"], rows)
     _write_run_manifest(out.parent, "align", vars(args))

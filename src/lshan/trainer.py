@@ -85,6 +85,9 @@ class TrainingConfig:
                 f"decay_factor {self.decay_factor} overflows the learning rate "
                 f"within {self.epochs} epochs")
 
+    def objective(self, rel, coh, reg):
+        return self.lambda1 * rel + (1.0 - self.lambda1) * coh + self.lambda2 * reg
+
 
 _PARSERS_BY_TYPE = {
     bool: lambda s: {"true": True, "false": False}[s.lower()],
@@ -159,7 +162,23 @@ def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
 
 
 def regularizer(params: Parameters) -> float:
-    return float(params.flat @ params.flat)
+    # numpy's own loop: BLAS ddot splits the sum by its thread count
+    return float(np.einsum("i,i->", params.flat, params.flat))
+
+
+def _instance_losses(batch, ls: LatentSpaceParams, han: Parameters,
+                     cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each instance's (relevance, coherence) loss, in batch order, from one
+    lockstep DTW and one padded HAN pass; a term ``cfg`` skips reads 0."""
+    rel = coh = np.zeros(len(batch))
+    if cfg.lambda1 > 0.0:
+        rel = np.array([table.total for table in ls_mod.dtw_batch(
+            [(ls_mod.project_video(ls.t_v, video),
+              ls_mod.project_sentence(ls.t_s, sentence),
+              _policy_for(video, sentence, cfg)) for video, sentence in batch])])
+    if cfg.lambda1 < 1.0:
+        coh = han_mod._coherence_forward(han, ls, batch, cfg.strategy)[0]
+    return rel, coh
 
 
 def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
@@ -167,18 +186,10 @@ def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
     """Returns (total, mean relevance, mean coherence, regularizer)."""
     if not batch:
         raise ValueError("empty batch")
-    rel = coh = 0.0
-    for video, sentence in batch:
-        if cfg.lambda1 > 0.0:
-            rel += ls_mod.relevance_loss(ls, video, sentence,
-                                         _policy_for(video, sentence, cfg))
-        if cfg.lambda1 < 1.0:
-            coh += han_mod.coherence_loss(han, ls, video, sentence, cfg.strategy)
-    rel /= len(batch)
-    coh /= len(batch)
+    rel, coh = (sum(losses.tolist()) / len(batch)
+                for losses in _instance_losses(batch, ls, han, cfg))
     reg = regularizer(han)
-    total = cfg.lambda1 * rel + (1.0 - cfg.lambda1) * coh + cfg.lambda2 * reg
-    return total, rel, coh, reg
+    return cfg.objective(rel, coh, reg), rel, coh, reg
 
 
 def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
@@ -213,7 +224,7 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
 
 def clip_gradients(grads: Parameters, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm."""
-    total = math.sqrt(grads.flat @ grads.flat)
+    total = math.sqrt(np.einsum("i,i->", grads.flat, grads.flat))
     if total > max_norm:
         grads.flat *= max_norm / total
     return total
@@ -273,7 +284,7 @@ def train(dataset: Dataset, cfg: TrainingConfig,
         rel = rel_sum / len(dataset)
         coh = coh_sum / len(dataset)
         reg = regularizer(state.han)
-        total = cfg.lambda1 * rel + (1.0 - cfg.lambda1) * coh + cfg.lambda2 * reg
+        total = cfg.objective(rel, coh, reg)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", last_checkpoint)
@@ -310,18 +321,10 @@ class GradCheckReport:
         return not self.failed and self.checked_instances > 0
 
 
-def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    # denominator floor keeps central-difference round-off (~1e-9 absolute at
-    # these loss scales) from inflating the relative error of near-zero entries
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
 def _instance_degenerate(ls, video, sentence, policy) -> bool:
     """True where the DTW argmin path is nearly tied or hits near-zero distances."""
-    v_lat = ls_mod.project_video(ls.t_v, video)
-    s_lat = ls_mod.project_sentence(ls.t_s, sentence)
-    table = ls_mod.dtw(v_lat, s_lat, policy)
+    table = ls_mod.dtw_batch([(ls_mod.project_video(ls.t_v, video),
+                               ls_mod.project_sentence(ls.t_s, sentence), policy)])[0]
     path = ls_mod.backtrack(table)
     return (ls_mod.path_margin(table, path) < 1e-3
             or ls_mod.min_path_distance(table, path) < 1e-6)
@@ -330,61 +333,59 @@ def _instance_degenerate(ls, video, sentence, policy) -> bool:
 def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
                tolerance: float = 1e-4,
                samples_per_group: int | None = None) -> GradCheckReport:
-    """Compare analytic gradients of the joint objective under ``cfg``
-    against central finite differences.
+    """Compare each instance's analytic gradient of the joint objective
+    under ``cfg`` with central finite differences.
 
     Instances whose DTW path is degenerate (ties or near-zero distances) are
-    skipped when the relevance term is active.
-    ``samples_per_group`` caps how many entries of each parameter array get a
-    finite-difference probe per instance (seeded, without replacement); None
-    checks every entry.
+    skipped when the relevance term is active. ``samples_per_group`` caps
+    how many entries of each array an instance probes (seeded, without
+    replacement); None probes every entry. Each probed entry is perturbed
+    once, and one batched pass gives every probing instance's loss.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if samples_per_group is not None and samples_per_group < 1:
+        raise ValueError(f"samples_per_group must be >= 1, got {samples_per_group}")
     instances = list(instances)
     if not instances:
         raise ValueError("no instances to check")
-    d_c = instances[0][0].dim
-
-    worst: dict[str, float] = {}
-    skipped = checked = 0
-    base_state = init_state(cfg, d_c, _vocab_size_of(instances))
+    d_w = max(max(s.tokens) for _, s in instances) + 1   # the words seen
+    state = init_state(cfg, instances[0][0].dim, d_w)
+    ls, han = state.ls, state.han
+    batch = [inst for inst in instances if not (cfg.lambda1 > 0.0 and
+             _instance_degenerate(ls, *inst, _policy_for(*inst, cfg)))]
+    skipped = len(instances) - len(batch)
+    if not batch:
+        return GradCheckReport({}, [], skipped, 0)
+    analytic = np.array([joint_grad([inst], ls, han, cfg).flat for inst in batch])
+    probed = np.zeros(analytic.shape, dtype=bool)
     sample_rng = np.random.default_rng(cfg.seed)
-    for video, sentence in instances:
-        ls, han = base_state.ls, base_state.han
-        if cfg.lambda1 > 0.0 and _instance_degenerate(
-                ls, video, sentence, _policy_for(video, sentence, cfg)):
-            skipped += 1
-            continue
-        checked += 1
-        batch = [(video, sentence)]
-        grads = joint_grad(batch, ls, han, cfg)
-        for name, arr in han.items():
-            flat = arr.reshape(-1)
-            g_flat = grads[name].reshape(-1)
-            if samples_per_group is None or samples_per_group >= flat.size:
-                idxs = np.arange(flat.size)
+    for row in probed:
+        for arr in Parameters(han.layout, row).values():
+            if samples_per_group is None or samples_per_group >= arr.size:
+                arr[...] = True
             else:
-                idxs = sample_rng.choice(flat.size, size=samples_per_group,
-                                         replace=False)
-            analytic = np.empty(len(idxs))
-            numeric = np.empty(len(idxs))
-            for pos, idx in enumerate(idxs):
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                up = joint_loss(batch, ls, han, cfg)[0]
-                flat[idx] = orig - eps
-                down = joint_loss(batch, ls, han, cfg)[0]
-                flat[idx] = orig
-                analytic[pos] = g_flat[idx]
-                numeric[pos] = (up - down) / (2.0 * eps)
-            err = _relative_error(analytic, numeric)
-            worst[name] = max(worst.get(name, 0.0), err)
+                arr.flat[sample_rng.choice(arr.size, size=samples_per_group,
+                                           replace=False)] = True
+    numeric = np.zeros_like(analytic)
+    for idx in np.flatnonzero(probed.any(axis=0)):
+        rows = np.flatnonzero(probed[:, idx])
+        orig = han.flat[idx]
+        totals = []
+        for shift in (eps, -eps):
+            han.flat[idx] = orig + shift
+            totals.append(cfg.objective(*_instance_losses(
+                [batch[b] for b in rows], ls, han, cfg), regularizer(han)))
+        han.flat[idx] = orig
+        numeric[rows, idx] = (totals[0] - totals[1]) / (2.0 * eps)
+    # denominator floor keeps central-difference round-off (~1e-9 absolute at
+    # these loss scales) from inflating the relative error of near-zero entries
+    error = np.where(probed, np.abs(analytic - numeric) / np.maximum(
+        np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4), 0.0)
+    worst = {name: float(arr.max()) for name, arr
+             in Parameters(han.layout, error.max(axis=0)).items()}
     failed = sorted(name for name, err in worst.items() if err > tolerance)
-    return GradCheckReport(worst, failed, skipped, checked)
+    return GradCheckReport(worst, failed, skipped, len(batch))
 
-
-def _vocab_size_of(instances) -> int:
-    return max(max(s.tokens) for _, s in instances) + 1

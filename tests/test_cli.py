@@ -133,6 +133,31 @@ class TestTrainEval:
             "--out", str(m2))
         assert (m1 / "final.lshn").read_bytes() == (m2 / "final.lshn").read_bytes()
 
+    def test_train_independent_of_blas_threads(self, tmp_path):
+        """A default-config training run writes the same checkpoint under
+        one and two OpenBLAS threads: the whole-buffer reductions of the
+        regularizer and of gradient clipping must not be split by thread.
+        The default dims matter; a buffer as small as TINY_CONFIG's is never
+        split. Where OpenBLAS caps its threads at 1 (a 1-core machine), both
+        runs are single-threaded and this test cannot fail."""
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--instances", "6",
+                   "--val-instances", "0", "--test-instances", "0") == 0
+        cfg = write_config(tmp_path, "epochs = 2\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(
+                           None, [src, os.environ.get("PYTHONPATH")])))
+            assert subprocess.run(
+                [sys.executable, "-m", "lshan.cli", "train", "--config",
+                 str(cfg), "--data", str(data), "--out", str(out)],
+                env=env, timeout=300).returncode == 0
+            models.append((out / "final.lshn").read_bytes())
+        assert models[0] == models[1]
+
     def test_align_csv(self, tmp_path, data_dir):
         cfg = write_config(tmp_path)
         model_dir = tmp_path / "model"
@@ -512,6 +537,14 @@ class TestExitCodes:
         assert run("gradcheck", "--instances", "3") == 0
         out = capsys.readouterr().out
         assert "max_rel_err" in out and "FAIL" not in out
+
+    def test_gradcheck_with_no_checked_instance_fails(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(trainer, "_instance_degenerate",
+                            lambda *args: True)
+        assert run("gradcheck", "--instances", "2") == 3
+        assert capsys.readouterr().out == \
+            "checked 0 instances, skipped 2 degenerate\n"
 
 
 PROBE_WITHOUT_SCIPY = """

@@ -34,6 +34,60 @@ def tiny_state(cfg=TINY, seed=0, d_c=5, d_w=10):
     return init_state(dataclasses.replace(cfg, seed=seed), d_c, d_w)
 
 
+def loop_grad_check(instances, cfg, eps=1e-5, tolerance=1e-4,
+                    samples_per_group=None):
+    """The nested-loop gradient check that ``grad_check`` replaced: per
+    instance, per array, per probed entry, two one-instance losses summed
+    from ``relevance_loss`` and ``coherence_loss``. Probes are drawn from the
+    same seeded generator in the same order."""
+    def loss(video, sentence, ls, han, policy):
+        rel = coh = 0.0
+        if cfg.lambda1 > 0.0:
+            rel = ls_mod.relevance_loss(ls, video, sentence, policy)
+        if cfg.lambda1 < 1.0:
+            coh = han_mod.coherence_loss(han, ls, video, sentence, cfg.strategy)
+        return (cfg.lambda1 * rel + (1.0 - cfg.lambda1) * coh
+                + cfg.lambda2 * regularizer(han))
+
+    d_w = max(max(s.tokens) for _, s in instances) + 1
+    state = init_state(cfg, instances[0][0].dim, d_w)
+    ls, han = state.ls, state.han
+    worst, skipped, checked = {}, 0, 0
+    sample_rng = np.random.default_rng(cfg.seed)
+    for video, sentence in instances:
+        policy = trainer._policy_for(video, sentence, cfg)
+        if cfg.lambda1 > 0.0 and trainer._instance_degenerate(
+                ls, video, sentence, policy):
+            skipped += 1
+            continue
+        checked += 1
+        grads = trainer.joint_grad([(video, sentence)], ls, han, cfg)
+        for name, arr in han.items():
+            flat = arr.reshape(-1)
+            g_flat = grads[name].reshape(-1)
+            if samples_per_group is None or samples_per_group >= flat.size:
+                idxs = np.arange(flat.size)
+            else:
+                idxs = sample_rng.choice(flat.size, size=samples_per_group,
+                                         replace=False)
+            analytic = np.empty(len(idxs))
+            numeric = np.empty(len(idxs))
+            for pos, idx in enumerate(idxs):
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                up = loss(video, sentence, ls, han, policy)
+                flat[idx] = orig - eps
+                down = loss(video, sentence, ls, han, policy)
+                flat[idx] = orig
+                analytic[pos] = g_flat[idx]
+                numeric[pos] = (up - down) / (2.0 * eps)
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
+                               1e-4)
+            err = float(np.max(np.abs(analytic - numeric) / denom))
+            worst[name] = max(worst.get(name, 0.0), err)
+    failed = sorted(name for name, err in worst.items() if err > tolerance)
+    return trainer.GradCheckReport(worst, failed, skipped, checked)
+
 class TestJointLoss:
     def test_decomposition(self):
         batch = tiny_batch()
@@ -279,6 +333,8 @@ class TestTrain:
 
         monkeypatch.setattr(ls_mod, "relevance_loss", forbidden)
         monkeypatch.setattr(han_mod, "coherence_loss", forbidden)
+        monkeypatch.setattr(trainer, "joint_loss", forbidden)
+        monkeypatch.setattr(trainer, "_instance_losses", forbidden)
         state = train(tiny_dataset(4), TINY)
         assert len(state.history) == TINY.epochs
 
@@ -346,3 +402,100 @@ class TestGradCheck:
         report = grad_check(self.make_instances(3), self.cfg())
         assert not report.passed
         assert report.failed == ["t_s"]
+
+
+class TestGradCheckOracle:
+    """``grad_check`` against ``loop_grad_check`` on a set with one
+    degenerate instance, at dims small enough for the loops."""
+
+    CFG = dataclasses.replace(TINY, latent_dim=3, hidden_size=2,
+                              attention_size=2, lambda2=0.0002)
+
+    def instances(self, seed=0, count=4):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, min(n, 3) + 1))
+            out.append((ClipFeatureSequence(rng.normal(size=(n, 3))),
+                        Sentence(tuple(int(t)
+                                       for t in rng.integers(2, 6, size=m)))))
+        return out
+
+    # 1 is below the smallest array's 2 entries, so the 3 checked instances
+    # share a probe in each 2-entry array
+    @pytest.mark.parametrize("samples_per_group", [None, 1])
+    @pytest.mark.parametrize("lambda1", [0.0, 0.6, 1.0])
+    def test_matches_loop_oracle(self, lambda1, samples_per_group):
+        cfg = dataclasses.replace(self.CFG, lambda1=lambda1)
+        want = loop_grad_check(self.instances(), cfg,
+                               samples_per_group=samples_per_group)
+        got = grad_check(self.instances(), cfg,
+                         samples_per_group=samples_per_group)
+        assert (got.checked_instances, got.skipped_instances) == \
+            (want.checked_instances, want.skipped_instances)
+        assert got.skipped_instances == (1 if lambda1 > 0.0 else 0)
+        assert list(got.max_rel_error) == list(want.max_rel_error)
+        assert got.failed == want.failed == []
+        for name, err in want.max_rel_error.items():
+            assert abs(got.max_rel_error[name] - err) <= 1e-5, name
+
+    @pytest.mark.parametrize("samples_per_group", [1, 3])
+    def test_probes_the_oracles_entries(self, monkeypatch, samples_per_group):
+        # every perturbed loss goes through one coherence forward pass; the
+        # entry that differs from the initial buffer is the probed one
+        instances = self.instances()
+        cfg = dataclasses.replace(self.CFG, lambda1=0.6)
+        d_w = max(max(s.tokens) for _, s in instances) + 1
+        base = init_state(cfg, 3, d_w).han.flat.copy()
+        number = {id(video): k for k, (video, _) in enumerate(instances)}
+        forward = han_mod._coherence_forward
+
+        def probes(check):
+            seen = set()
+
+            def recording(han, ls, batch, strategy):
+                moved = np.flatnonzero(han.flat != base)
+                seen.update((number[id(video)], int(idx))
+                            for video, _ in batch for idx in moved)
+                return forward(han, ls, batch, strategy)
+
+            monkeypatch.setattr(han_mod, "_coherence_forward", recording)
+            check(instances, cfg, samples_per_group=samples_per_group)
+            return seen
+
+        want = probes(loop_grad_check)
+        assert len(want) > 3 * samples_per_group
+        assert probes(grad_check) == want
+
+    def test_one_instance_error_is_not_diluted(self, monkeypatch):
+        # t_s is wrong for one instance only; its own row still fails
+        instances = self.instances()
+        exact = trainer.joint_grad
+        target = instances[-1][0]
+
+        def corrupted(batch, *args):
+            grads = exact(batch, *args)
+            if len(batch) == 1 and batch[0][0] is target:
+                grads["t_s"] += 1.0
+            return grads
+
+        monkeypatch.setattr(trainer, "joint_grad", corrupted)
+        report = grad_check(instances, dataclasses.replace(self.CFG,
+                                                           lambda1=0.6))
+        assert report.checked_instances == 3
+        assert report.failed == ["t_s"]
+
+    @pytest.mark.parametrize("samples_per_group", [0, -1])
+    def test_refuses_samples_below_one(self, samples_per_group):
+        with pytest.raises(ValueError, match="samples_per_group must be >= 1"):
+            grad_check(self.instances(), self.CFG,
+                       samples_per_group=samples_per_group)
+
+    def test_no_checked_instance_fails(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_instance_degenerate",
+                            lambda *args: True)
+        report = grad_check(self.instances(), self.CFG)
+        assert (report.checked_instances, report.skipped_instances) == (0, 4)
+        assert report.max_rel_error == {} and report.failed == []
+        assert not report.passed
