@@ -221,9 +221,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _cell_forward(u, zx, state):
-    """One LSTM step of one state or a (B, q) stack of them, given the
-    input's share ``zx`` = w x + b of the pre-activations; the recurrent
-    weights ``u`` add the rest. Returns ((h, c), (ifo, g, tc))."""
+    """One LSTM step of one (q,) state or a (B, q) stack of them (a padded
+    batch's time step, or the live hypotheses of a beam), given the input's
+    share ``zx`` = w x + b of the pre-activations; the recurrent weights
+    ``u`` add the rest. Returns ((h, c), (ifo, g, tc))."""
     h_prev, c_prev = state
     q = u.shape[1]
     z = zx + h_prev @ u.T
@@ -454,11 +455,12 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams, batch,
 # ---------------------------------------------------------------------------
 
 def _decode_step(han, zx, state):
-    """One decoder step from the input's share ``zx`` of the
-    pre-activations; returns the new state and the log-probabilities."""
+    """One decoder step of one state or an (L, q) stack of them, from the
+    inputs' share ``zx`` of the pre-activations; returns the new state and
+    the log-probabilities, #Start masked in every row."""
     (h, c), _ = _cell_forward(han["decoder.u"], zx, state)
     log_p = _emission(han, h)
-    log_p[START_INDEX] = -np.inf  # the start symbol is never emitted
+    log_p[..., START_INDEX] = -np.inf  # the start symbol is never emitted
     return (h, c), log_p
 
 
@@ -482,42 +484,59 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     or by reaching max_len tokens. Ending competes for beam slots like any
     other token, and equal scores go to the smaller token tuple, so k=1 is
     greedy decoding.
+
+    Each step is one ``_decode_step`` over the live hypotheses: their states
+    as one (L, q) stack, or as a single (q,) state while only one is live,
+    as for k=1 and the first step of every beam, where a stack's per-call
+    overhead would outweigh it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    # live hypotheses (tokens, score, state), all one length, sorted by tokens
     enc = encode_video(han, [video], strategy)
     w, _, b = han.group("decoder")
     word_zx = ls.t_s.T @ w.T + b   # the decoder's input GEMM, word by word
-    live = [((), 0.0, (enc.h0[0], enc.c0[0]))]
+    # the live hypotheses, all one length and sorted by tokens, and their
+    # scores and states: one score and state while one is live, else an
+    # (L, 1) column of scores and (L, q) states, row by row
+    live: list[tuple[int, ...]] = [()]
+    scores = 0.0
+    h, c = enc.h0[0], enc.c0[0]
+    zx = word_zx[START_INDEX]
     finished: list[tuple[tuple[int, ...], float]] = []
     n_words = ls.t_s.shape[1]
     for _ in range(max_len):
-        steps = [_decode_step(han, word_zx[tokens[-1] if tokens else
-                                           START_INDEX], state)
-                 for tokens, _, state in live]
+        (h, c), log_p = _decode_step(han, zx, (h, c))
         # the scores of every extension, parent by parent
-        cand = np.concatenate([score + log_p for (_, score, _), (_, log_p)
-                               in zip(live, steps)])
+        cand = (scores + log_p).ravel()
         # a stable sort over parents in token order breaks ties by tokens
         best = np.argsort(-cand, kind="stable")[:k].tolist()
-        extended = []
+        kept, extended = [], []
         for i in sorted(best):   # index order is token order
             score = float(cand[i])
             if not math.isfinite(score):
                 continue   # a masked extension, sorted last
-            parent, w = divmod(i, n_words)
-            tokens = live[parent][0] + (w,)
-            if w == END_INDEX:
+            parent, word = divmod(i, n_words)
+            tokens = live[parent] + (word,)
+            if word == END_INDEX:
                 finished.append((tokens[:-1], score))
             else:
-                extended.append((tokens, score, steps[parent][0]))
+                kept.append(i)
+                extended.append(tokens)
         live = extended
         if not live:
             break
-    finished.extend((tokens, score) for tokens, score, _ in live)
+        if len(live) == 1:
+            scores, zx = cand[kept[0]], word_zx[live[0][-1]]
+            if h.ndim == 2:
+                h, c = h[kept[0] // n_words], c[kept[0] // n_words]
+        else:
+            scores, zx = cand[kept][:, None], word_zx[[t[-1] for t in live]]
+            parents = [i // n_words for i in kept]
+            if h.ndim == 1 or parents != list(range(len(h))):
+                h, c = np.atleast_2d(h)[parents], np.atleast_2d(c)[parents]
+    finished.extend(zip(live, np.ravel(scores).tolist()))
     finished.sort(key=lambda f: (-f[1], f[0]))
     return finished[:k]
 

@@ -167,15 +167,21 @@ def regularizer(params: Parameters) -> float:
 
 
 def _instance_losses(batch, ls: LatentSpaceParams, han: Parameters,
-                     cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
+                     cfg: TrainingConfig, rel: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Each instance's (relevance, coherence) loss, in batch order, from one
-    lockstep DTW and one padded HAN pass; a term ``cfg`` skips reads 0."""
-    rel = coh = np.zeros(len(batch))
-    if cfg.lambda1 > 0.0:
-        rel = np.array([table.total for table in ls_mod.dtw_batch(
-            [(ls_mod.project_video(ls.t_v, video),
-              ls_mod.project_sentence(ls.t_s, sentence),
-              _policy_for(video, sentence, cfg)) for video, sentence in batch])])
+    lockstep DTW and one padded HAN pass; a term ``cfg`` skips reads 0.
+    Given ``rel``, the batch's relevance losses under the present projections,
+    the DTW is skipped and ``rel`` returned in its place."""
+    coh = np.zeros(len(batch))
+    if rel is None:
+        rel = np.zeros(len(batch))
+        if cfg.lambda1 > 0.0:
+            rel = np.array([table.total for table in ls_mod.dtw_batch(
+                [(ls_mod.project_video(ls.t_v, video),
+                  ls_mod.project_sentence(ls.t_s, sentence),
+                  _policy_for(video, sentence, cfg))
+                 for video, sentence in batch])])
     if cfg.lambda1 < 1.0:
         coh = han_mod._coherence_forward(han, ls, batch, cfg.strategy)[0]
     return rel, coh
@@ -340,7 +346,8 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
     skipped when the relevance term is active. ``samples_per_group`` caps
     how many entries of each array an instance probes (seeded, without
     replacement); None probes every entry. Each probed entry is perturbed
-    once, and one batched pass gives every probing instance's loss.
+    once, and one batched pass gives every probing instance's loss; the DTW
+    reruns only for entries of ``t_v`` and ``t_s``.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
@@ -370,6 +377,10 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
                 arr.flat[sample_rng.choice(arr.size, size=samples_per_group,
                                            replace=False)] = True
     numeric = np.zeros_like(analytic)
+    # only t_v and t_s, first in the layout, move the relevance losses, and
+    # the lockstep DTW computes each pair alone: reuse them for the rest
+    n_proj = ls.t_v.size + ls.t_s.size
+    rel = _instance_losses(batch, ls, han, cfg)[0]
     for idx in np.flatnonzero(probed.any(axis=0)):
         rows = np.flatnonzero(probed[:, idx])
         orig = han.flat[idx]
@@ -377,7 +388,8 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
         for shift in (eps, -eps):
             han.flat[idx] = orig + shift
             totals.append(cfg.objective(*_instance_losses(
-                [batch[b] for b in rows], ls, han, cfg), regularizer(han)))
+                [batch[b] for b in rows], ls, han, cfg,
+                None if idx < n_proj else rel[rows]), regularizer(han)))
         han.flat[idx] = orig
         numeric[rows, idx] = (totals[0] - totals[1]) / (2.0 * eps)
     # denominator floor keeps central-difference round-off (~1e-9 absolute at

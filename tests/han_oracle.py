@@ -4,11 +4,15 @@ that the batched kernels of ``lshan.han`` are tested against.
 Every function here steps a single sequence; ``coherence_grad`` takes one
 instance and sums each per-step term from zero in reverse step order, as
 backprop visits them. ``_lstm_backward`` is itself checked step by step
-against ``cell_backward_by_step``.
+against ``cell_backward_by_step``. ``kbest_decode`` runs one single-state
+decoder step per live hypothesis.
 """
+
+import math
 
 import numpy as np
 
+from lshan import han as han_mod
 from lshan.corpus import END_INDEX, START_INDEX
 from lshan.han import Parameters, segment_clips
 from lshan.latent_space import project_video
@@ -206,3 +210,39 @@ def coherence_grad(han, ls, video, sentence, strategy):
     dlatent = encode_backward(han, cache, dh0, dc0, grads, video.n)
     grads["t_v"] = dlatent.T @ video.clips
     return loss, grads
+
+
+def kbest_decode(han, ls, video, strategy, k, max_len):
+    """The beam search of ``lshan.han.kbest_decode``, one ``_decode_step``
+    on one (q,) state per live hypothesis."""
+    enc = han_mod.encode_video(han, [video], strategy)
+    w, _, b = han.group("decoder")
+    word_zx = ls.t_s.T @ w.T + b
+    # live hypotheses (tokens, score, state), all one length, sorted by tokens
+    live = [((), 0.0, (enc.h0[0], enc.c0[0]))]
+    finished = []
+    n_words = ls.t_s.shape[1]
+    for _ in range(max_len):
+        steps = [han_mod._decode_step(han, word_zx[tokens[-1] if tokens
+                                                   else START_INDEX], state)
+                 for tokens, _, state in live]
+        cand = np.concatenate([score + log_p for (_, score, _), (_, log_p)
+                               in zip(live, steps)])
+        best = np.argsort(-cand, kind="stable")[:k].tolist()
+        extended = []
+        for i in sorted(best):
+            score = float(cand[i])
+            if not math.isfinite(score):
+                continue
+            parent, word = divmod(i, n_words)
+            tokens = live[parent][0] + (word,)
+            if word == END_INDEX:
+                finished.append((tokens[:-1], score))
+            else:
+                extended.append((tokens, score, steps[parent][0]))
+        live = extended
+        if not live:
+            break
+    finished.extend((tokens, score) for tokens, score, _ in live)
+    finished.sort(key=lambda f: (-f[1], f[0]))
+    return finished[:k]

@@ -453,6 +453,10 @@ class TestExitCodes:
                      "be >= 1, got 0", id="instances-0"),
         *[pytest.param(["probe", "--samples", v], 1, "sample_count must be "
                        f">= 1, got {v}", id=f"samples-{v}") for v in ("0", "-1")],
+        pytest.param(["probe", "--k", "1"], 1, "probe needs k >= 2",
+                     id="probe-k-1"),
+        *[pytest.param([command, "--max-len", "0"], 1, "max_len must be >= 1",
+                       id=f"{command}-max-len-0") for command in ("probe", "eval")],
         *[pytest.param(["synth", flag, "0"], 1, "all synthetic counts must "
                        "be positive", id=f"synth{flag}-0")
           for flag in ("--vocab-size", "--feature-dim")],
@@ -495,16 +499,17 @@ class TestExitCodes:
             config = write_config(tmp_path, argv[1])
             argv = ["train", "--config", str(config), "--data", str(data),
                     "--out", str(tmp_path / "m")]
-        elif argv[0] == "probe":
+        elif argv[0] in ("probe", "eval"):
             data = tmp_path / "data"
             run(*synth_args(data))
             model = tmp_path / "model.lshn"
             model.write_bytes(self.checkpoint_bytes(tmp_path))
-            argv = ["probe", "--model", str(model), "--data", str(data),
-                    "--out", str(tmp_path / "probe.csv"), *argv[1:]]
+            argv = [argv[0], "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / f"{argv[0]}.csv"), *argv[1:]]
         # the refused command writes nothing
         output = {"synth": tmp_path / "data", "train": tmp_path / "m",
-                  "probe": tmp_path / "probe.csv"}.get(argv[0])
+                  "probe": tmp_path / "probe.csv",
+                  "eval": tmp_path / "eval.csv"}.get(argv[0])
         capsys.readouterr()
         assert run(*argv) == code
         err = capsys.readouterr().err

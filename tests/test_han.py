@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import han_oracle as oracle
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lshan import han as han_mod
-from lshan.corpus import ClipFeatureSequence, Sentence
+from lshan.corpus import END_INDEX, ClipFeatureSequence, Sentence
 from lshan.han import (
     Parameters, SegmentationStrategy, _attention_forward, _bidir_forward,
     _cell_forward, _emission, _Padding, coherence_grad, coherence_loss,
@@ -532,6 +533,21 @@ class TestDecoding:
             assert log_p.tobytes() == expected.tobytes()
             assert h.tobytes() == h_ref.tobytes()
             assert c.tobytes() == c_ref.tobytes()
+            # a stack of states, as the beam steps them: each row is its
+            # single-state step, #Start masked in every row
+            states = (rng.normal(size=(5, 8)), rng.normal(size=(5, 8)))
+            tokens = rng.integers(0, 4 + seed, size=5)
+            (hs, cs), log_ps = han_mod._decode_step(
+                han, ls.t_s.T[tokens] @ w.T + b, states)
+            assert log_ps.shape == (5, 4 + seed)
+            assert (log_ps[:, 0] == -np.inf).all()
+            for row, token in enumerate(tokens):
+                (h, c), log_p = han_mod._decode_step(
+                    han, ls.t_s[:, token] @ w.T + b,
+                    (states[0][row], states[1][row]))
+                assert_close_norm(hs[row], h)
+                assert_close_norm(cs[row], c)
+                assert_close_norm(log_ps[row, 1:], log_p[1:])
 
     def test_scores_non_increasing(self):
         ls, han = tiny_model(3)
@@ -588,6 +604,73 @@ class TestDecoding:
                for pair in itertools.product((2, 3), repeat=2)],
             key=lambda h: (-h[1], h[0]))
         assert kbest_decode(han, ls, video, k=k, max_len=2) == expected[:k]
+
+
+def end_at_second_step(seed):
+    """A tiny model whose decoder runs the same states from any input:
+    every gate open and the candidate 1, so c_t = t. #End is all but
+    impossible at the first step and all but certain at the second."""
+    ls, han = tiny_model(seed)
+    for name in ("decoder.w", "decoder.u", "init_c.w", "init_c.b", "emit_w"):
+        han[name] = 0.0
+    han["decoder.b"] = 20.0
+    # the #End logit is 100 (h_1 + ... + h_8) - 688: -79 at c = 1, +83 at c = 2
+    han["emit_w"][END_INDEX] = 100.0
+    han["emit_b"][END_INDEX] = -688.0
+    han["emit_b"][2:] = np.linspace(0.0, 1.0, 8)
+    return ls, han
+
+
+def beam_models():
+    """(name, ls, han, video): seeded tiny models as drawn, with #End made
+    likelier, so that beams shrink to one live hypothesis and grow again,
+    and ``end_at_second_step``. Over twelve seeds, a k = 2 beam also shrinks
+    to its second row with a hypothesis that stays among the k best."""
+    for seed in range(12):
+        video, _ = tiny_instance(seed)
+        ls, han = tiny_model(seed)
+        yield "drawn", ls, han, video
+        for bias in (0.2, 1.0):   # k = 2 regrows only near 0.2
+            ls, han = tiny_model(seed)
+            han["emit_b"][END_INDEX] += bias
+            yield "end-favoured", ls, han, video
+        yield ("end-at-second-step",) + end_at_second_step(seed) + (video,)
+
+
+class TestStackedBeam:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_per_hypothesis_oracle(self, k, monkeypatch):
+        # ``widths`` records how many states each step of the stacked beam
+        # runs, to show that the cases named in ``beam_models`` occur
+        widths = []
+        step = han_mod._decode_step
+
+        def recorded(han, zx, state):
+            widths.append(len(state[0]) if state[0].ndim == 2 else 1)
+            return step(han, zx, state)
+
+        monkeypatch.setattr(han_mod, "_decode_step", recorded)
+        regrown = 0
+        for name, ls, han, video in beam_models():
+            for max_len in range(1, 7):
+                args = (han, ls, video, han_mod.DEFAULT_STRATEGY, k, max_len)
+                want = oracle.kbest_decode(*args)
+                widths.clear()
+                got = kbest_decode(*args)
+                assert [t for t, _ in got] == [t for t, _ in want]
+                if k == 1:
+                    assert np.array([s for _, s in got]).tobytes() == \
+                        np.array([s for _, s in want]).tobytes()
+                for (_, a), (_, b) in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b)
+                assert widths[0] == 1 and max(widths) <= k
+                if name == "end-at-second-step" and max_len >= 2:
+                    assert widths == [1, k]   # every hypothesis ended on #End
+                    assert [len(t) for t, _ in got] == [1] * k
+                # a stack, then a single state, then a stack again
+                regrown += bool(re.search(r"S1+S", "".join(
+                    "S" if w > 1 else "1" for w in widths)))
+        assert (regrown > 0) == (k > 1)
 
 
 class TestCoherenceGrad:
