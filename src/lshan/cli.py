@@ -140,11 +140,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_align(args) -> int:
     ls, _, _, dataset = _load_model_and_split(args)
-    tables = ls_mod.dtw_batch([(
-        ls_mod.project_video(ls.t_v, video),
-        ls_mod.project_sentence(ls.t_s, sentence),
-        ls_mod.window_policy(video.n, sentence.length) if args.windowed else None)
-        for video, sentence in dataset.instances])
+    tables = ls_mod.align_batch(ls, dataset.instances, args.windowed)
     rows = [(idx, i, j) for idx, table in enumerate(tables)
             for i, j in enumerate(ls_mod.backtrack(table).words.tolist())]
     out = Path(args.out)

@@ -179,9 +179,8 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
         if len({t for t, _ in hyps}) < 2:
             skipped += 1
             continue
-        v_lat = ls_mod.project_video(ls.t_v, video)
-        tables = ls_mod.dtw_batch([(v_lat, ls_mod.project_sentence(
-            ls.t_s, Sentence(t)), None) for t, _ in hyps])
+        tables = ls_mod.align_batch(
+            ls, [(video, Sentence(t)) for t, _ in hyps], windowed=False)
         scored = [(t, log_p, table.total)
                   for (t, log_p), table in zip(hyps, tables)]
         _, inverse, counts = np.unique([d for _, _, d in scored],

@@ -552,20 +552,30 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path: Path | str, han: Parameters,
                     strategy: SegmentationStrategy) -> None:
     """Binary checkpoint: magic, version, dimension header, then the parameter
-    buffer as float64 LE in ``param_layout`` order."""
+    buffer as float64 LE in ``param_layout`` order. The file is synced to
+    disk before it replaces ``path``, and the directory after, so a crash or
+    a power loss leaves the old checkpoint or the new one, whole."""
     d_s, d_c = han["t_v"].shape
     d_w = han["t_s"].shape[1]
     q = han["decoder.u"].shape[1]
     q_att = han["clip_att.proj"].shape[0]
     tmp = Path(f"{path}.tmp")   # renamed over ``path`` once whole
     try:
-        tmp.write_bytes(CHECKPOINT_MAGIC + struct.pack(
-            "<IIIIIIII", CHECKPOINT_VERSION, d_c, d_w, d_s, q, q_att,
-            _STRATEGY_CODES[strategy.kind], strategy.k)
-            + han.flat.astype("<f8").tobytes())
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack(
+                "<IIIIIIII", CHECKPOINT_VERSION, d_c, d_w, d_s, q, q_att,
+                _STRATEGY_CODES[strategy.kind], strategy.k)
+                + han.flat.astype("<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())   # on disk before the rename publishes it
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    directory = os.open(Path(path).parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)   # and the rename itself survives a power loss
+    finally:
+        os.close(directory)
 
 
 def load_checkpoint(path: Path | str

@@ -128,7 +128,9 @@ def dtw_batch(triples) -> list[DtwTable]:
     """Tables of (video latent, sentence latent, policy) triples, filled in
     lockstep: time-major row i holds, pair after pair, a +inf guard and the
     pair's D[i, :]. Step costs are +inf at the guards and outside each band,
-    so one flat min-and-add fills row i of every table. Padding goes unread.
+    so one flat min-and-add fills row i of every table. Padding goes unread,
+    so the pairs are independent: each table is bit for bit the one its
+    triple gets alone, whatever else shares the batch.
     """
     n_max, m_max = np.max([(v.shape[0], s.shape[0]) for v, s, _ in triples], 0)
     steps = np.full((n_max, len(triples), m_max + 1), np.inf)
@@ -179,11 +181,27 @@ def relevance_loss(params: LatentSpaceParams, video: ClipFeatureSequence,
                project_sentence(params.t_s, sentence), policy).total
 
 
-def relevance_grad(params: LatentSpaceParams, batch, policies
+def align_batch(ls: LatentSpaceParams, batch, windowed: bool) -> list[DtwTable]:
+    """Each ``(video, sentence)`` instance's DTW table, in batch order, from
+    one ``dtw_batch``: the one place that chooses the band, each pair's
+    ``window_policy`` when ``windowed`` and none otherwise."""
+    return _align(ls, batch, [project_video(ls.t_v, v) for v, _ in batch],
+                  windowed)
+
+
+def _align(ls, batch, v_latents, windowed: bool) -> list[DtwTable]:
+    return dtw_batch([(v_lat, project_sentence(ls.t_s, sentence),
+                       window_policy(video.n, sentence.length) if windowed else None)
+                      for (video, sentence), v_lat in zip(batch, v_latents)])
+
+
+def relevance_grad(ls: LatentSpaceParams, batch, windowed: bool
                    ) -> tuple[list[float], np.ndarray, np.ndarray]:
     """``(losses, g_tv, g_ts)``: the relevance loss of each instance of
-    ``batch`` under its policy in ``policies``, in batch order, and the
-    subgradients of their sum w.r.t. the two projections.
+    ``batch`` as ``align_batch`` aligns it, in batch order, and the
+    subgradients of their sum w.r.t. the two projections. The instances are
+    independent: each loss, and each one's share of the gradients, is what
+    it gets in a batch of its own.
 
     The min is differentiated through the tie-broken argmin path; along it
     d(i,j) = ||T_v v_i - T_s s_j|| contributes (u v_i^T, -u e_{s_j}^T) with
@@ -191,19 +209,17 @@ def relevance_grad(params: LatentSpaceParams, batch, policies
     takes every clip once, in order, so the batch's paths pair its clips,
     concatenated, with the words the paths gather.
     """
-    latents = [(project_video(params.t_v, video),
-                project_sentence(params.t_s, sentence), policy)
-               for (video, sentence), policy in zip(batch, policies, strict=True)]
-    tables = dtw_batch(latents)
+    v_latents = [project_video(ls.t_v, video) for video, _ in batch]
+    tables = _align(ls, batch, v_latents, windowed)
     paths = [backtrack(table).words for table in tables]
     dist = np.concatenate([table.dist[np.arange(words.size), words]
                            for table, words in zip(tables, paths)])
     keep = dist >= DEGENERATE_DISTANCE
     tokens = np.concatenate([np.asarray(sentence.tokens)[words]
                              for (_, sentence), words in zip(batch, paths)])[keep]
-    v_lat = np.concatenate([v_lat for v_lat, _, _ in latents])[keep]
-    unit = (v_lat - params.t_s.T[tokens]) / dist[keep, None]
-    g_ts = np.zeros_like(params.t_s)
+    v_lat = np.concatenate(v_latents)[keep]
+    unit = (v_lat - ls.t_s.T[tokens]) / dist[keep, None]
+    g_ts = np.zeros_like(ls.t_s)
     np.subtract.at(g_ts.T, tokens, unit)
     clips = np.concatenate([video.clips for video, _ in batch])[keep]
     return [table.total for table in tables], unit.T @ clips, g_ts

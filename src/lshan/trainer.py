@@ -20,7 +20,7 @@ import numpy as np
 
 from . import han as han_mod
 from . import latent_space as ls_mod
-from .corpus import ClipFeatureSequence, Dataset, Sentence, read_text, write_csv
+from .corpus import Dataset, read_text, write_csv
 from .han import Parameters, SegmentationStrategy, parse_strategy, save_checkpoint
 from .latent_space import LatentSpaceParams
 
@@ -154,13 +154,6 @@ class TrainState:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def _policy_for(video: ClipFeatureSequence, sentence: Sentence,
-                cfg: TrainingConfig) -> ls_mod.WindowPolicy | None:
-    if not cfg.windowed_dtw:
-        return None
-    return ls_mod.window_policy(video.n, sentence.length)
-
-
 def regularizer(params: Parameters) -> float:
     # numpy's own loop: BLAS ddot splits the sum by its thread count
     return float(np.einsum("i,i->", params.flat, params.flat))
@@ -177,11 +170,8 @@ def _instance_losses(batch, ls: LatentSpaceParams, han: Parameters,
     if rel is None:
         rel = np.zeros(len(batch))
         if cfg.lambda1 > 0.0:
-            rel = np.array([table.total for table in ls_mod.dtw_batch(
-                [(ls_mod.project_video(ls.t_v, video),
-                  ls_mod.project_sentence(ls.t_s, sentence),
-                  _policy_for(video, sentence, cfg))
-                 for video, sentence in batch])])
+            rel = np.array([table.total for table in ls_mod.align_batch(
+                ls, batch, cfg.windowed_dtw)])
     if cfg.lambda1 < 1.0:
         coh = han_mod._coherence_forward(han, ls, batch, cfg.strategy)[0]
     return rel, coh
@@ -213,8 +203,7 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
     scale = 1.0 / len(batch)
     rel_sum = coh_sum = 0.0
     if cfg.lambda1 > 0.0:
-        losses, g_tv, g_ts = ls_mod.relevance_grad(
-            ls, batch, [_policy_for(v, s, cfg) for v, s in batch])
+        losses, g_tv, g_ts = ls_mod.relevance_grad(ls, batch, cfg.windowed_dtw)
         rel_sum = sum(losses)
         grads["t_v"] = cfg.lambda1 * scale * g_tv
         grads["t_s"] = cfg.lambda1 * scale * g_ts
@@ -255,10 +244,19 @@ def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
     return TrainState(ls, han, rng)
 
 
+def _write_log(out_dir: Path, history: list[EpochStats]) -> None:
+    write_csv(out_dir / "training_log.csv",
+              ["epoch", "rel_loss", "coh_loss", "reg", "total", "wall_seconds"],
+              ([epoch, e.relevance, e.coherence, e.regularizer, e.total,
+                e.wall_seconds] for epoch, e in enumerate(history)))
+
+
 def train(dataset: Dataset, cfg: TrainingConfig,
           out_dir: Path | str | None = None) -> TrainState:
     """Seeded SGD over shuffled batches. With ``out_dir``, it writes the
-    checkpoints, ``final.lshn`` and the loss log ``training_log.csv`` there.
+    checkpoints, ``final.lshn`` and the loss log ``training_log.csv`` there;
+    a run that diverges writes the log of its completed epochs and no
+    ``final.lshn``.
 
     An epoch's ``rel_loss``/``coh_loss`` average each instance's loss from the
     pass that made its gradient, before its batch's step; ``reg`` is taken at
@@ -272,42 +270,43 @@ def train(dataset: Dataset, cfg: TrainingConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
     last_checkpoint: Path | None = None
 
-    for epoch in range(cfg.epochs):
-        start = time.perf_counter()
-        rate = learning_rate_at(cfg, epoch)
-        order = state.rng.permutation(len(dataset))
-        rel_sum = coh_sum = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [dataset.instances[i] for i in order[lo:lo + cfg.batch_size]]
-            grads = joint_grad(batch, state.ls, state.han, cfg)
-            rel_sum += grads.losses[0]
-            coh_sum += grads.losses[1]
-            clip_gradients(grads, cfg.max_grad_norm)
-            try:
-                sgd_step(state, grads, rate)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(str(exc), last_checkpoint) from None
-        rel = rel_sum / len(dataset)
-        coh = coh_sum / len(dataset)
-        reg = regularizer(state.han)
-        total = cfg.objective(rel, coh, reg)
-        if not np.isfinite(total):
-            raise TrainingDiverged(
-                f"loss became non-finite at epoch {epoch}", last_checkpoint)
-        elapsed = time.perf_counter() - start
-        state.history.append(EpochStats(rel, coh, reg, total, elapsed))
-        if out_dir is not None and cfg.checkpoint_every > 0 \
-                and (epoch + 1) % cfg.checkpoint_every == 0:
-            last_checkpoint = out_dir / f"checkpoint_{epoch + 1:04d}.lshn"
-            save_checkpoint(last_checkpoint, state.han, cfg.strategy)
-
+    try:
+        for epoch in range(cfg.epochs):
+            start = time.perf_counter()
+            rate = learning_rate_at(cfg, epoch)
+            order = state.rng.permutation(len(dataset))
+            rel_sum = coh_sum = 0.0
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = [dataset.instances[i]
+                         for i in order[lo:lo + cfg.batch_size]]
+                grads = joint_grad(batch, state.ls, state.han, cfg)
+                rel_sum += grads.losses[0]
+                coh_sum += grads.losses[1]
+                clip_gradients(grads, cfg.max_grad_norm)
+                try:
+                    sgd_step(state, grads, rate)
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(str(exc), last_checkpoint) from None
+            rel = rel_sum / len(dataset)
+            coh = coh_sum / len(dataset)
+            reg = regularizer(state.han)
+            total = cfg.objective(rel, coh, reg)
+            if not np.isfinite(total):
+                raise TrainingDiverged(
+                    f"loss became non-finite at epoch {epoch}", last_checkpoint)
+            elapsed = time.perf_counter() - start
+            state.history.append(EpochStats(rel, coh, reg, total, elapsed))
+            if out_dir is not None and cfg.checkpoint_every > 0 \
+                    and (epoch + 1) % cfg.checkpoint_every == 0:
+                last_checkpoint = out_dir / f"checkpoint_{epoch + 1:04d}.lshn"
+                save_checkpoint(last_checkpoint, state.han, cfg.strategy)
+    except TrainingDiverged:
+        if out_dir is not None:
+            _write_log(out_dir, state.history)
+        raise
     if out_dir is not None:
         save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
-        write_csv(out_dir / "training_log.csv",
-                  ["epoch", "rel_loss", "coh_loss", "reg", "total",
-                   "wall_seconds"],
-                  ([epoch, e.relevance, e.coherence, e.regularizer, e.total,
-                    e.wall_seconds] for epoch, e in enumerate(state.history)))
+        _write_log(out_dir, state.history)
     return state
 
 
@@ -327,10 +326,8 @@ class GradCheckReport:
         return not self.failed and self.checked_instances > 0
 
 
-def _instance_degenerate(ls, video, sentence, policy) -> bool:
+def _instance_degenerate(table: ls_mod.DtwTable) -> bool:
     """True where the DTW argmin path is nearly tied or hits near-zero distances."""
-    table = ls_mod.dtw_batch([(ls_mod.project_video(ls.t_v, video),
-                               ls_mod.project_sentence(ls.t_s, sentence), policy)])[0]
     path = ls_mod.backtrack(table)
     return (ls_mod.path_margin(table, path) < 1e-3
             or ls_mod.min_path_distance(table, path) < 1e-6)
@@ -361,8 +358,10 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
     d_w = max(max(s.tokens) for _, s in instances) + 1   # the words seen
     state = init_state(cfg, instances[0][0].dim, d_w)
     ls, han = state.ls, state.han
-    batch = [inst for inst in instances if not (cfg.lambda1 > 0.0 and
-             _instance_degenerate(ls, *inst, _policy_for(*inst, cfg)))]
+    batch = instances
+    if cfg.lambda1 > 0.0:   # the instances align independently
+        batch = [inst for inst, table in zip(instances, ls_mod.align_batch(
+            ls, instances, cfg.windowed_dtw)) if not _instance_degenerate(table)]
     skipped = len(instances) - len(batch)
     if not batch:
         return GradCheckReport({}, [], skipped, 0)

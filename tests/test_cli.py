@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -537,6 +538,12 @@ class TestExitCodes:
             "numeric failure: parameter group 't_v' became non-finite; "
             f"last checkpoint {saved}\n")
         han_mod.load_checkpoint(saved)
+        # the completed epoch is logged, and no final checkpoint is written
+        with open(out / "training_log.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["epoch"] for row in rows] == ["0"]
+        assert all(np.isfinite(float(value)) for value in rows[0].values())
+        assert not (out / "final.lshn").exists()
 
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0
@@ -546,7 +553,7 @@ class TestExitCodes:
     def test_gradcheck_with_no_checked_instance_fails(self, capsys,
                                                       monkeypatch):
         monkeypatch.setattr(trainer, "_instance_degenerate",
-                            lambda *args: True)
+                            lambda table: True)
         assert run("gradcheck", "--instances", "2") == 3
         assert capsys.readouterr().out == \
             "checked 0 instances, skipped 2 degenerate\n"

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 import han_oracle as oracle
@@ -816,6 +818,34 @@ class TestCheckpoint:
             save_checkpoint(path, han, even(5))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.lshn"]
+
+    def test_syncs_the_file_before_the_rename(self, tmp_path, monkeypatch):
+        _, han = tiny_model(19)
+        path = tmp_path / "model.lshn"
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(info.st_mode) else "file"
+            # the size shows whether the bytes reached the file before the sync
+            calls.append(("fsync", kind, info.st_ino,
+                          info.st_size if kind == "file" else None))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(han_mod.os, "fsync", recording_fsync)
+        monkeypatch.setattr(han_mod.os, "replace", recording_replace)
+        save_checkpoint(path, han, even(5))
+        saved = path.stat()
+        assert calls == [
+            ("fsync", "file", saved.st_ino, saved.st_size),
+            ("replace", "model.lshn.tmp", "model.lshn"),
+            ("fsync", "dir", tmp_path.stat().st_ino, None)]
+        assert saved.st_size == 36 + 8 * han.flat.size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.lshn"

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lshan import latent_space
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.latent_space import (
     DEGENERATE_DISTANCE, AlignmentError, DtwTable, LatentSpaceParams,
-    WindowPolicy, backtrack, dtw, dtw_batch, min_path_distance, path_margin,
-    project_sentence, project_video, relevance_grad, relevance_loss,
-    window_policy,
+    WindowPolicy, align_batch, backtrack, dtw, dtw_batch, min_path_distance,
+    path_margin, project_sentence, project_video, relevance_grad,
+    relevance_loss, window_policy,
 )
 
 
@@ -101,19 +102,26 @@ def lockstep_batches(rng, count):
     return batches
 
 
-def one_relevance_grad(params, video, sentence, policy=None):
-    """``relevance_grad`` of a one-instance batch, as (loss, g_tv, g_ts)."""
-    (loss,), g_tv, g_ts = relevance_grad(params, [(video, sentence)], [policy])
+def one_relevance_grad(params, video, sentence):
+    """``relevance_grad`` of an unbanded one-instance batch, as (loss, g_tv,
+    g_ts)."""
+    (loss,), g_tv, g_ts = relevance_grad(params, [(video, sentence)], False)
     return loss, g_tv, g_ts
 
 
-def assert_matches_instance_sum(params, batch, policies, oracle):
-    """``relevance_grad`` of ``batch`` against ``oracle`` run per instance:
-    every loss byte for byte, and each projection's gradient within 1e-12
-    norm-wise of the sum of the oracle's, so exactly 0 where that sum is."""
-    losses, g_tv, g_ts = relevance_grad(params, batch, policies)
-    want = [oracle(params, video, sentence, policy)
-            for (video, sentence), policy in zip(batch, policies)]
+def band(video, sentence, windowed):
+    """The policy that ``windowed`` stands for, built by hand."""
+    return window_policy(video.n, sentence.length) if windowed else None
+
+
+def assert_matches_instance_sum(params, batch, windowed, oracle):
+    """``relevance_grad`` of ``batch`` against ``oracle`` run per instance
+    under the band that ``windowed`` stands for: every loss byte for byte,
+    and each projection's gradient within 1e-12 norm-wise of the sum of the
+    oracle's, so exactly 0 where that sum is."""
+    losses, g_tv, g_ts = relevance_grad(params, batch, windowed)
+    want = [oracle(params, video, sentence, band(video, sentence, windowed))
+            for video, sentence in batch]
     assert [np.float64(loss).tobytes() for loss in losses] \
         == [np.float64(loss).tobytes() for loss, _, _ in want]
     for got, want_sum in ((g_tv, sum(w[1] for w in want)),
@@ -346,7 +354,24 @@ class TestDtw:
             crossed += max(m for _, m in shapes) > min(n for n, _ in shapes)
         assert crossed > 50
 
-    def test_batch_rejects_an_infeasible_pair(self):
+    def test_align_batch_matches_hand_built_triples(self):
+        rng = np.random.default_rng(24)
+        for shapes in lockstep_batches(rng, 300):
+            params, batch = relevance_batch(rng, shapes)
+            for windowed in (False, True):
+                triples = [(project_video(params.t_v, video),
+                            project_sentence(params.t_s, sentence),
+                            band(video, sentence, windowed))
+                           for video, sentence in batch]
+                got = align_batch(params, batch, windowed)
+                assert len(got) == len(batch)
+                for table, want, one in zip(got, dtw_batch(triples), triples):
+                    alone = dtw(*one)
+                    for other in (want, alone):
+                        assert table.costs.tobytes() == other.costs.tobytes()
+                        assert table.dist.tobytes() == other.dist.tobytes()
+
+    def test_batch_rejects_an_infeasible_pair(self, monkeypatch):
         rng = np.random.default_rng(21)
         v, s = random_latents(rng, 6, 3, 2)
         cases = [
@@ -369,8 +394,11 @@ class TestDtw:
             batch = [(ClipFeatureSequence(v), Sentence((2, 3, 4))),
                      (ClipFeatureSequence(bad_v),
                       Sentence((2, 3, 4)[:bad_s.shape[0]]))]
+            if policy is not None:   # the band comes from window_policy
+                monkeypatch.setattr(latent_space, "window_policy", lambda n, m:
+                                    policy if n == 4 else window_policy(n, m))
             with pytest.raises(AlignmentError, match=f"^{message}$"):
-                relevance_grad(params, batch, [None, policy])
+                relevance_grad(params, batch, policy is not None)
 
     def test_rejects_more_words_than_clips(self):
         rng = np.random.default_rng(6)
@@ -540,9 +568,9 @@ class TestRelevance:
         below = nudged = 0
         for n, m in relevance_shapes(rng, 1200):
             params, video, sentence = relevance_case(rng, n, m)
-            for policy in (None, window_policy(n, m)):
+            for windowed in (False, True):
                 assert_matches_instance_sum(params, [(video, sentence)],
-                                            [policy], loop_relevance_grad)
+                                            windowed, loop_relevance_grad)
             table = dtw(project_video(params.t_v, video),
                         project_sentence(params.t_s, sentence))
             path_dist = table.dist[np.arange(n), backtrack(table).words]
@@ -556,10 +584,9 @@ class TestRelevance:
         rng = np.random.default_rng(22)
         for shapes in lockstep_batches(rng, 400):
             params, batch = relevance_batch(rng, shapes)
-            policies = [window_policy(n, m) if rng.random() < 0.5 else None
-                        for n, m in shapes]
-            assert_matches_instance_sum(params, batch, policies,
-                                        instance_relevance_grad)
+            for windowed in (False, True):
+                for oracle in (instance_relevance_grad, loop_relevance_grad):
+                    assert_matches_instance_sum(params, batch, windowed, oracle)
 
     def test_batch_of_degenerate_cells_and_of_one_token(self):
         rng = np.random.default_rng(23)
@@ -567,22 +594,21 @@ class TestRelevance:
         params = LatentSpaceParams(np.eye(2), np.ones((2, 5)))
         batch = [(ClipFeatureSequence(np.ones((n, 2))), Sentence(tokens))
                  for n, tokens in ((1, (2,)), (4, (3, 2)), (6, (4, 4, 2)))]
-        losses, g_tv, g_ts = relevance_grad(params, batch, [None] * 3)
+        losses, g_tv, g_ts = relevance_grad(params, batch, False)
         assert losses == [0.0, 0.0, 0.0]
         assert g_tv.shape == (2, 2) and not g_tv.any()
         assert g_ts.shape == (2, 5) and not g_ts.any()
-        assert_matches_instance_sum(params, batch, [None] * 3,
-                                    loop_relevance_grad)
+        assert_matches_instance_sum(params, batch, False, loop_relevance_grad)
         # one token, within and across sentences, takes every path cell
         params = LatentSpaceParams(rng.normal(size=(3, 4)),
                                    rng.normal(size=(3, 5)))
         batch = [(ClipFeatureSequence(rng.normal(size=(n, 4))),
                   Sentence((3,) * m)) for n, m in ((5, 3), (1, 1), (7, 7))]
-        policies = [window_policy(5, 3), None, window_policy(7, 7)]
-        _, _, g_ts = relevance_grad(params, batch, policies)
-        assert np.flatnonzero(g_ts.any(axis=0)).tolist() == [3]
-        for oracle in (instance_relevance_grad, loop_relevance_grad):
-            assert_matches_instance_sum(params, batch, policies, oracle)
+        for windowed in (False, True):
+            _, _, g_ts = relevance_grad(params, batch, windowed)
+            assert np.flatnonzero(g_ts.any(axis=0)).tolist() == [3]
+            for oracle in (instance_relevance_grad, loop_relevance_grad):
+                assert_matches_instance_sum(params, batch, windowed, oracle)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(16)

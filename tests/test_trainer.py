@@ -55,9 +55,12 @@ def loop_grad_check(instances, cfg, eps=1e-5, tolerance=1e-4,
     worst, skipped, checked = {}, 0, 0
     sample_rng = np.random.default_rng(cfg.seed)
     for video, sentence in instances:
-        policy = trainer._policy_for(video, sentence, cfg)
-        if cfg.lambda1 > 0.0 and trainer._instance_degenerate(
-                ls, video, sentence, policy):
+        policy = ls_mod.window_policy(video.n, sentence.length) \
+            if cfg.windowed_dtw else None
+        # the screen, one instance at a time
+        if cfg.lambda1 > 0.0 and trainer._instance_degenerate(ls_mod.dtw(
+                ls_mod.project_video(ls.t_v, video),
+                ls_mod.project_sentence(ls.t_s, sentence), policy)):
             skipped += 1
             continue
         checked += 1
@@ -492,9 +495,35 @@ class TestGradCheckOracle:
             grad_check(self.instances(), self.CFG,
                        samples_per_group=samples_per_group)
 
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_batched_screen_skips_the_per_instance_screens(self, monkeypatch,
+                                                            windowed):
+        # the instances that get an analytic gradient are the ones that
+        # loop_grad_check's one-instance screen lets through
+        instances = self.instances(seed=1, count=40)
+        cfg = dataclasses.replace(self.CFG, lambda1=1.0,
+                                  windowed_dtw=windowed)
+        exact = trainer.joint_grad
+
+        def checked(check):
+            seen = []
+
+            def recording(batch, *args):
+                seen.extend(id(video) for video, _ in batch)
+                return exact(batch, *args)
+
+            monkeypatch.setattr(trainer, "joint_grad", recording)
+            report = check(instances, cfg, samples_per_group=1)
+            assert report.checked_instances == len(seen)
+            return seen
+
+        want = checked(loop_grad_check)
+        assert 0 < len(want) < len(instances)
+        assert checked(grad_check) == want
+
     def test_no_checked_instance_fails(self, monkeypatch):
         monkeypatch.setattr(trainer, "_instance_degenerate",
-                            lambda *args: True)
+                            lambda table: True)
         report = grad_check(self.instances(), self.CFG)
         assert (report.checked_instances, report.skipped_instances) == (0, 4)
         assert report.max_rel_error == {} and report.failed == []
