@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +55,8 @@ def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     # the subcommand handler's repr holds a per-process address
     args = {key: value for key, value in args.items() if key != "func"}
-    manifest = {"command": command, "version": __version__, "args": args}
+    manifest = {"command": command, "version": __version__, "args": args,
+                "python": platform.python_version(), "numpy": np.__version__}
     (out_dir / f"run_{command}.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8")
@@ -128,13 +131,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ls, han, strategy, dataset = _load_model_and_split(args)
+    start = time.perf_counter()
     report = eval_mod.evaluate(ls, han, dataset, strategy, args.max_len)
+    seconds = time.perf_counter() - start
     out = Path(args.out)
     report.write_csv(out)
     _write_run_manifest(out.parent, "eval", vars(args))
-    print(f"mean_accuracy {report.mean_accuracy:.6f}  "
-          f"S={report.aggregate.substitutions} I={report.aggregate.insertions} "
-          f"D={report.aggregate.deletions} N={report.aggregate.reference_length}")
+    agg = report.aggregate
+    print(f"mean_accuracy {report.mean_accuracy:.6f}  S={agg.substitutions} "
+          f"I={agg.insertions} D={agg.deletions} N={agg.reference_length}  "
+          f"decode_seconds={seconds:.3f}")
     return EXIT_OK
 
 
@@ -233,7 +239,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="test")
     p.add_argument("--strategy", default=None,
                    help="two-split | pair-split | even-<k>; default from checkpoint")
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--max-len", type=int, default=han_mod.MAX_DECODE_LEN)
     p.add_argument("--out", default="report.csv")
     p.set_defaults(func=_cmd_eval)
 
@@ -262,7 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--strategy", default=None)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--max-len", type=int, default=han_mod.MAX_DECODE_LEN)
     p.add_argument("--out", default="probe.csv")
     p.set_defaults(func=_cmd_probe)
 

@@ -3,7 +3,8 @@
 On-disk formats:
   * feature file: binary, little-endian; magic ``LSHF``, u32 version=1,
     u32 clip count n, u32 feature dim, then n*dim float32 values row-major.
-  * annotation file: UTF-8 text, one sentence per line, space-separated tokens.
+  * annotation file: UTF-8 text, one sentence per line, space-separated tokens;
+    blank lines may only trail the last sentence.
   * manifest: JSON with keys "features" (list of paths), "annotations" (path),
     "split" ("train" | "validation" | "test"). Paths are relative to the
     manifest's directory.
@@ -315,8 +316,14 @@ def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
     if not features:
         raise CorpusError(f"{manifest_path}: the manifest lists no instances")
     base = manifest_path.parent
-    lines = read_text(base / annotations, "annotation file").splitlines()
-    token_lists = [line.split() for line in lines if line.strip()]
+    annotation_path = base / annotations
+    token_lists = [line.split() for line in
+                   read_text(annotation_path, "annotation file").splitlines()]
+    while token_lists and not token_lists[-1]:   # trailing blank lines
+        token_lists.pop()
+    if [] in token_lists:
+        raise CorpusError(f"{annotation_path}: line {token_lists.index([]) + 1}"
+                          " is blank; only trailing lines may be")
     if len(token_lists) != len(features):
         raise CorpusError(
             f"{manifest_path}: {len(features)} feature files but "

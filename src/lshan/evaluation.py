@@ -9,8 +9,7 @@ words.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +78,8 @@ def edit_breakdown(hyp, ref) -> EditBreakdown:
 class InstanceResult:
     instance_id: int
     n_clips: int
-    ref_length: int
     hyp_length: int
     breakdown: EditBreakdown
-    decode_seconds: float
 
     @property
     def accuracy(self) -> float:
@@ -92,40 +89,38 @@ class InstanceResult:
 @dataclass
 class EvalReport:
     results: list[InstanceResult]
-    mean_accuracy: float
-    aggregate: EditBreakdown
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean([r.accuracy for r in self.results]))
+
+    @property
+    def aggregate(self) -> EditBreakdown:
+        """The S, I, D and reference lengths summed over the instances."""
+        return EditBreakdown(*(sum(column) for column in zip(
+            *(astuple(r.breakdown) for r in self.results))))
 
     def write_csv(self, path: Path | str) -> None:
         write_csv(path, ["instance_id", "n", "m", "hyp_len", "S", "I", "D",
-                         "accuracy", "decode_seconds"],
-                  ([r.instance_id, r.n_clips, r.ref_length, r.hyp_length,
-                    r.breakdown.substitutions, r.breakdown.insertions,
-                    r.breakdown.deletions, f"{r.accuracy:.6f}",
-                    f"{r.decode_seconds:.6f}"] for r in self.results))
+                         "accuracy"],
+                  ([r.instance_id, r.n_clips, r.breakdown.reference_length,
+                    r.hyp_length, r.breakdown.substitutions,
+                    r.breakdown.insertions, r.breakdown.deletions,
+                    f"{r.accuracy:.6f}"] for r in self.results))
 
 
 def evaluate(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
              strategy: SegmentationStrategy = han_mod.DEFAULT_STRATEGY,
-             max_len: int = 30) -> EvalReport:
-    """Greedy-decode every instance and aggregate sentence accuracies."""
+             max_len: int = han_mod.MAX_DECODE_LEN) -> EvalReport:
+    """Greedy-decode every instance and score it against its reference."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     results = []
-    agg_s = agg_i = agg_d = agg_n = 0
     for idx, (video, sentence) in enumerate(dataset.instances):
-        start = time.perf_counter()
         hyp = han_mod.greedy_decode(han, ls, video, strategy, max_len)
-        elapsed = time.perf_counter() - start
-        b = edit_breakdown(hyp, sentence.tokens)
-        results.append(InstanceResult(idx, video.n, sentence.length, len(hyp),
-                                      b, elapsed))
-        agg_s += b.substitutions
-        agg_i += b.insertions
-        agg_d += b.deletions
-        agg_n += b.reference_length
-    mean_acc = float(np.mean([r.accuracy for r in results]))
-    return EvalReport(results, mean_acc,
-                      EditBreakdown(agg_s, agg_i, agg_d, agg_n))
+        results.append(InstanceResult(idx, video.n, len(hyp),
+                                      edit_breakdown(hyp, sentence.tokens)))
+    return EvalReport(results)
 
 
 @dataclass
@@ -152,7 +147,8 @@ class ProbeReport:
 def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
                       k: int = 5, sample_count: int = 10, seed: int = 0,
                       strategy: SegmentationStrategy = han_mod.DEFAULT_STRATEGY,
-                      max_len: int = 30) -> ProbeReport:
+                      max_len: int = han_mod.MAX_DECODE_LEN
+                      ) -> ProbeReport:
     """Rank agreement between decoder scores and latent DTW distances.
 
     Samples videos, k-best decodes each, measures every hypothesis's DTW
@@ -224,8 +220,7 @@ def lambda_sweep(train_ds: Dataset, val_ds: Dataset,
         run_cfg = replace(cfg, lambda1=float(value))
         try:
             state = trainer_mod.train(train_ds, run_cfg)
-            report = evaluate(state.ls, state.han, val_ds, cfg.strategy,
-                              cfg.max_decode_len)
+            report = evaluate(state.ls, state.han, val_ds, cfg.strategy)
             rows.append(SweepRow(float(value), report.mean_accuracy))
         except trainer_mod.TrainingDiverged as exc:
             rows.append(SweepRow(float(value), float("nan"), str(exc)))

@@ -51,6 +51,7 @@ class SegmentationStrategy:
 
 
 DEFAULT_STRATEGY = SegmentationStrategy("even", 7)
+MAX_DECODE_LEN = 30   # the most words one decode returns
 
 _STRATEGY_CODES = {"two-split": 1, "pair-split": 2, "even": 3}
 _STRATEGY_KINDS = {v: k for k, v in _STRATEGY_CODES.items()}
@@ -467,7 +468,7 @@ def _decode_step(han, zx, state):
 def greedy_decode(han: Parameters, ls: LatentSpaceParams,
                   video: ClipFeatureSequence,
                   strategy: SegmentationStrategy = DEFAULT_STRATEGY,
-                  max_len: int = 30) -> tuple[int, ...]:
+                  max_len: int = MAX_DECODE_LEN) -> tuple[int, ...]:
     """Most-probable-word decoding, the k=1 beam; stops at #End or max_len
     tokens."""
     return kbest_decode(han, ls, video, strategy, 1, max_len)[0][0]
@@ -476,7 +477,7 @@ def greedy_decode(han: Parameters, ls: LatentSpaceParams,
 def kbest_decode(han: Parameters, ls: LatentSpaceParams,
                  video: ClipFeatureSequence,
                  strategy: SegmentationStrategy = DEFAULT_STRATEGY,
-                 k: int = 5, max_len: int = 30
+                 k: int = 5, max_len: int = MAX_DECODE_LEN
                  ) -> list[tuple[tuple[int, ...], float]]:
     """Beam search; returns up to k (token tuple, log-probability), descending.
 

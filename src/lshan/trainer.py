@@ -55,7 +55,6 @@ class TrainingConfig:
     windowed_dtw: bool = True
     checkpoint_every: int = 0     # epochs; 0 disables periodic checkpoints
     max_grad_norm: float = 5.0
-    max_decode_len: int = 30
 
     def __post_init__(self):
         for f in fields(self):
@@ -69,8 +68,7 @@ class TrainingConfig:
         if self.learning_rate <= 0 or self.decay_factor <= 0:
             raise ConfigError("learning rate and decay factor must be positive")
         if min(self.decay_interval, self.epochs, self.batch_size,
-               self.latent_dim, self.hidden_size, self.attention_size,
-               self.max_decode_len) < 1:
+               self.latent_dim, self.hidden_size, self.attention_size) < 1:
             raise ConfigError("counts and dimensions must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -283,27 +281,23 @@ def train(dataset: Dataset, cfg: TrainingConfig,
                 rel_sum += grads.losses[0]
                 coh_sum += grads.losses[1]
                 clip_gradients(grads, cfg.max_grad_norm)
-                try:
-                    sgd_step(state, grads, rate)
-                except TrainingDiverged as exc:
-                    raise TrainingDiverged(str(exc), last_checkpoint) from None
+                sgd_step(state, grads, rate)
             rel = rel_sum / len(dataset)
             coh = coh_sum / len(dataset)
             reg = regularizer(state.han)
             total = cfg.objective(rel, coh, reg)
             if not np.isfinite(total):
-                raise TrainingDiverged(
-                    f"loss became non-finite at epoch {epoch}", last_checkpoint)
+                raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")
             elapsed = time.perf_counter() - start
             state.history.append(EpochStats(rel, coh, reg, total, elapsed))
             if out_dir is not None and cfg.checkpoint_every > 0 \
                     and (epoch + 1) % cfg.checkpoint_every == 0:
                 last_checkpoint = out_dir / f"checkpoint_{epoch + 1:04d}.lshn"
                 save_checkpoint(last_checkpoint, state.han, cfg.strategy)
-    except TrainingDiverged:
+    except TrainingDiverged as exc:
         if out_dir is not None:
             _write_log(out_dir, state.history)
-        raise
+        raise TrainingDiverged(str(exc), last_checkpoint) from None
     if out_dir is not None:
         save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
         _write_log(out_dir, state.history)

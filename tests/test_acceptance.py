@@ -199,7 +199,7 @@ def test_metric_oracle():
 
 def test_overfit_run(trained, splits):
     r = eval_mod.evaluate(trained["ls"], trained["han"], splits["train"],
-                          trained["strategy"], trained["cfg"].max_decode_len)
+                          trained["strategy"])
     ok = r.mean_accuracy >= 0.95 and trained["wall"] < 600
     report("overfit-run", ok,
            f"train accuracy={r.mean_accuracy:.3f} (need >=0.95), "
@@ -209,7 +209,7 @@ def test_overfit_run(trained, splits):
 
 def test_generalization_run(trained, splits):
     r = eval_mod.evaluate(trained["ls"], trained["han"], splits["test"],
-                          trained["strategy"], trained["cfg"].max_decode_len)
+                          trained["strategy"])
     ok = r.mean_accuracy >= 0.6
     report("generalization-run", ok,
            f"test accuracy={r.mean_accuracy:.3f} (need >=0.6)")
@@ -273,8 +273,7 @@ def test_strategy_comparison(trained, splits, workdir):
     table = {}
     for name in ("two-split", "pair-split", "even-7"):
         r = eval_mod.evaluate(trained["ls"], trained["han"], splits["test"],
-                              han_mod.parse_strategy(name),
-                              trained["cfg"].max_decode_len)
+                              han_mod.parse_strategy(name))
         table[name] = r.mean_accuracy
     lines = ["strategy,test_accuracy"]
     lines += [f"{k},{v:.6f}" for k, v in table.items()]

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -93,6 +94,14 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["args"]["seed"] == 3
 
+    def test_run_manifest_records_versions(self, tmp_path):
+        import platform
+        out = tmp_path / "data"
+        run(*synth_args(out))
+        manifest = json.loads((out / "run_synth.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+
     def test_run_manifest_omits_handler(self, tmp_path):
         # the handler's repr holds a per-process address
         out = tmp_path / "data"
@@ -108,7 +117,7 @@ class TestTrainEval:
         run(*synth_args(out))
         return out
 
-    def test_train_then_eval(self, tmp_path, data_dir):
+    def test_train_then_eval(self, tmp_path, capsys, data_dir):
         cfg = write_config(tmp_path)
         model_dir = tmp_path / "model"
         assert run("train", "--config", str(cfg), "--data", str(data_dir),
@@ -118,12 +127,16 @@ class TestTrainEval:
         assert (model_dir / "training_log.csv").exists()
 
         report = tmp_path / "report.csv"
+        capsys.readouterr()
         assert run("eval", "--model", str(model_dir / "final.lshn"),
                    "--data", str(data_dir), "--split", "test",
                    "--out", str(report)) == 0
         lines = report.read_text().strip().split("\n")
         assert lines[0].startswith("instance_id,")
         assert len(lines) == 3
+        assert re.fullmatch(r"mean_accuracy -?\d+\.\d{6}  S=\d+ I=\d+ D=\d+ "
+                            r"N=\d+  decode_seconds=\d+\.\d{3}\n",
+                            capsys.readouterr().out)
 
     def test_train_determinism(self, tmp_path, data_dir):
         cfg = write_config(tmp_path)
@@ -185,6 +198,38 @@ class TestTrainEval:
                    "--data", str(data_dir), "--k", "3", "--samples", "3",
                    "--out", str(out)) == 0
         assert out.read_text().startswith("video_id,rank,log_prob,dtw_distance")
+
+    def test_reruns_write_identical_bytes(self, tmp_path, capsys, data_dir):
+        """``eval``, ``align`` and ``probe`` of one model write the same
+        bytes when run again: their CSVs, their manifests and their stdout,
+        less the decode wall time that ends ``eval``'s summary line."""
+        cfg = write_config(tmp_path)
+        model = tmp_path / "model"
+        run("train", "--config", str(cfg), "--data", str(data_dir),
+            "--out", str(model))
+        out = tmp_path / "out"
+        out.mkdir()
+        commands = {
+            "eval": ["--split", "train"],
+            "align": [],
+            "align-windowed": ["--windowed"],
+            "probe": ["--k", "3", "--samples", "4"],
+        }
+        runs = []
+        for _ in range(2):
+            outputs = {}
+            for name, extra in commands.items():
+                capsys.readouterr()
+                assert run(name.split("-")[0], "--model",
+                           str(model / "final.lshn"), "--data", str(data_dir),
+                           "--out", str(out / f"{name}.csv"), *extra) == 0
+                outputs[name] = re.sub(r"  decode_seconds=[0-9.]+$", "",
+                                       capsys.readouterr().out, flags=re.M)
+            runs.append((outputs, dir_bytes(out)))
+        assert runs[0] == runs[1]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "align-windowed.csv", "align.csv", "eval.csv", "probe.csv",
+            "run_align.json", "run_eval.json", "run_probe.json"]
 
     def test_sweep_csv(self, tmp_path, data_dir):
         cfg = write_config(tmp_path)
@@ -318,6 +363,8 @@ class TestExitCodes:
          "Too many levels of symbolic links"),
         ("annotations_nul_byte", 2,
          "cannot read annotation file {data}/a\0b: embedded null byte"),
+        ("annotations_blank_line", 2,
+         "{data}/annotations_test.txt: line 2 is blank"),
         ("train_empty_split", 2,
          "{data}/manifest_train.json: the manifest lists no instances"),
         ("eval_empty_split", 2,
@@ -396,6 +443,9 @@ class TestExitCodes:
             looped.symlink_to(looped.name)
         elif case == "annotations_nul_byte":
             manifest["annotations"] = "a\0b"
+        elif case == "annotations_blank_line":
+            path = data / manifest["annotations"]
+            path.write_text(path.read_text().replace("\n", "\n\n", 1))
         elif case.endswith("_empty_split"):   # every split lists no instances
             manifest["features"] = []
             for split in ("train", "validation"):
@@ -482,6 +532,9 @@ class TestExitCodes:
           for command in ("synth", "gradcheck", "probe")],
         pytest.param(["train", "epochs = 2\nseed = -1\n"], 2, "seed must be "
                      ">= 0, got -1", id="seed--1"),
+        pytest.param(["train", "epochs = 2\nmax_decode_len = 30\n"], 2,
+                     "line 2: unknown key 'max_decode_len'",
+                     id="max_decode_len"),
     ])
     def test_malformed_numeric_input(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,30 @@ class TestFileFormats:
             '{"features": ["v.lshf"], "annotations": "ann.txt", "split": "train"}')
         with pytest.raises(CorpusError, match="instance 0"):
             load_dataset(tmp_path / "manifest.json", VOCAB)
+
+    @pytest.mark.parametrize("annotations,blank", [
+        ("a\n\nb\nc\n", 2),     # four lines for three videos
+        ("\na\nb\nc\n", 1),
+        ("a\nb\n \t\nc\n", 3),
+        ("a\nb\nc\n\n \n", None),   # trailing blank lines are allowed
+        ("a\nb\nc", None),
+    ])
+    def test_load_refuses_a_blank_line_before_the_last(self, tmp_path,
+                                                       annotations, blank):
+        for name in ("0", "1", "2"):
+            write_features(tmp_path / f"{name}.lshf", np.zeros((3, 2)))
+        (tmp_path / "ann.txt").write_text(annotations)
+        (tmp_path / "manifest.json").write_text(
+            '{"features": ["0.lshf", "1.lshf", "2.lshf"], '
+            '"annotations": "ann.txt", "split": "train"}')
+        if blank is None:
+            loaded = load_dataset(tmp_path / "manifest.json", VOCAB)
+            assert [s.tokens for _, s in loaded.instances] == [(2,), (3,), (4,)]
+        else:
+            path = re.escape(str(tmp_path / "ann.txt"))
+            with pytest.raises(CorpusError,
+                               match=rf"^{path}: line {blank} is blank"):
+                load_dataset(tmp_path / "manifest.json", VOCAB)
 
     def test_missing_feature_file(self, tmp_path):
         (tmp_path / "ann.txt").write_text("a\n")

@@ -109,6 +109,12 @@ class TestEvaluate:
         assert report.mean_accuracy == pytest.approx(
             float(np.mean(per_instance)), abs=1e-12)
         assert len(report.results) == 4
+        # the aggregate sums every instance's S, I, D and reference length
+        columns = zip(*[(r.breakdown.substitutions, r.breakdown.insertions,
+                         r.breakdown.deletions, sentence.length)
+                        for r, (_, sentence) in zip(report.results,
+                                                    ds.instances)])
+        assert report.aggregate == EditBreakdown(*map(sum, columns))
 
     def test_always_end_model_scores_zero(self):
         ds = tiny_dataset()
@@ -129,11 +135,14 @@ class TestEvaluate:
         path = tmp_path / "eval.csv"
         report.write_csv(path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == ("instance_id,n,m,hyp_len,S,I,D,accuracy,"
-                            "decode_seconds")
+        assert lines[0] == "instance_id,n,m,hyp_len,S,I,D,accuracy"
         assert len(lines) == 5
-        for line, r in zip(lines[1:], report.results):
-            assert line.split(",")[-1] == f"{r.decode_seconds:.6f}"
+        for line, r, (video, sentence) in zip(lines[1:], report.results,
+                                              ds.instances):
+            b = r.breakdown
+            assert line == (f"{r.instance_id},{video.n},{sentence.length},"
+                            f"{r.hyp_length},{b.substitutions},"
+                            f"{b.insertions},{b.deletions},{r.accuracy:.6f}")
 
 
 class TestConsistencyProbe:
@@ -228,8 +237,7 @@ class TestLambdaSweep:
 
         import dataclasses
         state = trainer.train(train, dataclasses.replace(cfg, lambda1=0.4))
-        report = evaluate(state.ls, state.han, val, cfg.strategy,
-                          cfg.max_decode_len)
+        report = evaluate(state.ls, state.han, val, cfg.strategy)
         assert rows[0].val_accuracy == pytest.approx(report.mean_accuracy,
                                                      abs=1e-12)
 
