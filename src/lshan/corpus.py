@@ -229,6 +229,18 @@ def read_text(path: Path, what: str,
         raise error(f"{path}: {what} is not UTF-8 ({exc.reason})") from None
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text`` as editors number them: split at line feeds
+    alone, a final line feed ending the last line, and one carriage return
+    dropped from each line's end. ``str.splitlines`` would also split at lone
+    carriage returns, form feeds and other separators that may sit inside a
+    line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
 def write_csv(path: Path | str, header: list[str], rows) -> None:
     """A UTF-8 CSV file of the ``header`` row, then ``rows``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -270,8 +282,8 @@ def write_vocabulary(path: Path | str, vocab: Vocabulary) -> None:
 
 
 def read_vocabulary(path: Path | str) -> Vocabulary:
-    lines = read_text(Path(path), "vocabulary file").splitlines()
-    return Vocabulary(tuple(lines))
+    text = read_text(Path(path), "vocabulary file")
+    return Vocabulary(tuple(text_lines(text)))
 
 
 def save_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
@@ -318,7 +330,7 @@ def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
     base = manifest_path.parent
     annotation_path = base / annotations
     token_lists = [line.split() for line in
-                   read_text(annotation_path, "annotation file").splitlines()]
+                   text_lines(read_text(annotation_path, "annotation file"))]
     while token_lists and not token_lists[-1]:   # trailing blank lines
         token_lists.pop()
     if [] in token_lists:

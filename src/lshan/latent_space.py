@@ -13,6 +13,7 @@ are 0-based; a path starts at (0, 0) and ends at (n-1, m-1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,9 +60,12 @@ class WindowPolicy:
     lo: tuple[int, ...]  # first feasible clip per word
     hi: tuple[int, ...]  # last feasible clip per word
 
+    @functools.cache   # one read-only mask per policy and n, shared by callers
     def feasible_mask(self, n: int) -> np.ndarray:
         clip = np.arange(n)[:, None]
-        return (clip >= np.array(self.lo)) & (clip <= np.array(self.hi))
+        mask = (clip >= np.array(self.lo)) & (clip <= np.array(self.hi))
+        mask.setflags(write=False)
+        return mask
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,10 @@ def project_sentence(t_s: np.ndarray, sentence: Sentence) -> np.ndarray:
     return t_s[:, tokens].T
 
 
+@functools.cache
 def window_policy(n: int, m: int) -> WindowPolicy:
-    """Per-word feasible clip ranges from evenly assigned overlapping windows."""
+    """Per-word feasible clip ranges from evenly assigned overlapping windows;
+    built once per ``(n, m)``, and the same policy is returned after."""
     if not n >= m >= 1:
         raise AlignmentError(f"need n >= m >= 1, got n={n}, m={m}")
     if m == 1:
@@ -144,8 +150,8 @@ def dtw_batch(triples) -> list[DtwTable]:
             raise AlignmentError(f"no feasible path for n={n} < m={m}")
         diff = v_latent[:, None, :] - s_latent[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        steps[:n, b, 1:m + 1] = dist if policy is None \
-            else np.where(policy.feasible_mask(n), dist, np.inf)
+        np.copyto(steps[:n, b, 1:m + 1], dist, where=True if policy is None
+                  else policy.feasible_mask(n))
         costs[0, b, 1] = dist[0, 0]
         tables.append(DtwTable(costs[:n, b, 1:m + 1], dist))
     flat, flat_steps = costs.reshape(n_max, -1), steps.reshape(n_max, -1)

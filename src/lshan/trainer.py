@@ -20,7 +20,7 @@ import numpy as np
 
 from . import han as han_mod
 from . import latent_space as ls_mod
-from .corpus import Dataset, read_text, write_csv
+from .corpus import Dataset, read_text, text_lines, write_csv
 from .han import Parameters, SegmentationStrategy, parse_strategy, save_checkpoint
 from .latent_space import LatentSpaceParams
 
@@ -101,7 +101,7 @@ _CONFIG_PARSERS = {
 def parse_config(text: str) -> TrainingConfig:
     """``key = value`` lines; blank lines and '#' comments allowed; unknown keys are errors."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -187,9 +187,12 @@ def joint_loss(batch, ls: LatentSpaceParams, han: Parameters,
 
 
 def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
-               cfg: TrainingConfig) -> Parameters:
+               cfg: TrainingConfig, out: Parameters | None = None) -> Parameters:
     """Batch-mean gradient of the joint objective, in the layout of ``han``.
 
+    The gradient is written into ``out``, which is zero-filled first and
+    returned, so one buffer can serve every step of a run; without ``out``
+    a fresh buffer is returned.
     With lambda1 at an endpoint the inactive term is skipped exactly, so e.g.
     at lambda1=1 the HAN parameters receive only the ridge gradient.
     ``grads.losses`` holds the batch's summed per-instance losses
@@ -197,18 +200,19 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
     """
     if not batch:
         raise ValueError("empty batch")
-    grads = Parameters(han.layout)
+    grads = Parameters(han.layout) if out is None else out
+    grads.flat.fill(0.0)
     scale = 1.0 / len(batch)
     rel_sum = coh_sum = 0.0
+    if cfg.lambda1 < 1.0:
+        losses, _ = han_mod.coherence_grad(han, ls, batch, cfg.strategy, grads)
+        coh_sum = sum(losses)
+        grads.flat *= (1.0 - cfg.lambda1) * scale
     if cfg.lambda1 > 0.0:
         losses, g_tv, g_ts = ls_mod.relevance_grad(ls, batch, cfg.windowed_dtw)
         rel_sum = sum(losses)
-        grads["t_v"] = cfg.lambda1 * scale * g_tv
-        grads["t_s"] = cfg.lambda1 * scale * g_ts
-    if cfg.lambda1 < 1.0:
-        losses, g_coh = han_mod.coherence_grad(han, ls, batch, cfg.strategy)
-        coh_sum = sum(losses)
-        grads.flat += (1.0 - cfg.lambda1) * scale * g_coh.flat
+        grads["t_v"] += cfg.lambda1 * scale * g_tv
+        grads["t_s"] += cfg.lambda1 * scale * g_ts
     if cfg.lambda2 > 0.0:
         grads.flat += 2.0 * cfg.lambda2 * han.flat
     grads.losses = (rel_sum, coh_sum)
@@ -224,8 +228,12 @@ def clip_gradients(grads: Parameters, max_norm: float) -> float:
 
 
 def sgd_step(state: TrainState, grads: Parameters, rate: float) -> None:
-    """In-place descent step p <- p - rate * g; aborts on non-finite results."""
-    state.han.flat -= rate * grads.flat
+    """In-place descent step p <- p - rate * g; aborts on non-finite results.
+
+    ``grads`` is scaled by ``rate`` in place, so it must not be reused after
+    the step."""
+    grads.flat *= rate
+    state.han.flat -= grads.flat
     name = state.han.first_non_finite()
     if name is not None:
         raise TrainingDiverged(f"parameter group {name!r} became non-finite")
@@ -267,6 +275,7 @@ def train(dataset: Dataset, cfg: TrainingConfig,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     last_checkpoint: Path | None = None
+    grads = Parameters(state.han.layout)   # every step's gradient
 
     try:
         for epoch in range(cfg.epochs):
@@ -277,7 +286,7 @@ def train(dataset: Dataset, cfg: TrainingConfig,
             for lo in range(0, len(order), cfg.batch_size):
                 batch = [dataset.instances[i]
                          for i in order[lo:lo + cfg.batch_size]]
-                grads = joint_grad(batch, state.ls, state.han, cfg)
+                joint_grad(batch, state.ls, state.han, cfg, grads)
                 rel_sum += grads.losses[0]
                 coh_sum += grads.losses[1]
                 clip_gradients(grads, cfg.max_grad_norm)

@@ -365,6 +365,8 @@ class TestExitCodes:
          "cannot read annotation file {data}/a\0b: embedded null byte"),
         ("annotations_blank_line", 2,
          "{data}/annotations_test.txt: line 2 is blank"),
+        ("annotations_form_feed", 2, "{data}/manifest_test.json: 3 feature "
+         "files but 2 annotated sentences"),
         ("train_empty_split", 2,
          "{data}/manifest_train.json: the manifest lists no instances"),
         ("eval_empty_split", 2,
@@ -446,6 +448,9 @@ class TestExitCodes:
         elif case == "annotations_blank_line":
             path = data / manifest["annotations"]
             path.write_text(path.read_text().replace("\n", "\n\n", 1))
+        elif case == "annotations_form_feed":   # one line, not two
+            manifest["features"] = manifest["features"][:1] * 3
+            (data / manifest["annotations"]).write_text("a\x0cb\nc\n")
         elif case.endswith("_empty_split"):   # every split lists no instances
             manifest["features"] = []
             for split in ("train", "validation"):

@@ -6,8 +6,8 @@ import pytest
 from lshan import corpus
 from lshan.corpus import (
     ClipFeatureSequence, CorpusError, Sentence, SyntheticConfig, Vocabulary,
-    generate_synthetic, load_dataset, read_features, save_dataset,
-    write_features,
+    generate_synthetic, load_dataset, read_features, read_vocabulary,
+    save_dataset, write_features, write_vocabulary,
 )
 
 VOCAB = Vocabulary(("#Start", "#End", "a", "b", "c", "d", "e"))
@@ -130,6 +130,43 @@ class TestFileFormats:
             with pytest.raises(CorpusError,
                                match=rf"^{path}: line {blank} is blank"):
                 load_dataset(tmp_path / "manifest.json", VOCAB)
+
+    @pytest.mark.parametrize("separator", [
+        "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+        "\r"])
+    def test_lines_break_at_line_feeds_alone(self, tmp_path, separator):
+        # str.splitlines would read three sentences and give video 1 "b"
+        for name in ("0", "1", "2"):
+            write_features(tmp_path / f"{name}.lshf", np.zeros((3, 2)))
+        (tmp_path / "ann.txt").write_text(f"a{separator}b\nc\n", newline="")
+        (tmp_path / "manifest.json").write_text(
+            '{"features": ["0.lshf", "1.lshf", "2.lshf"], '
+            '"annotations": "ann.txt", "split": "train"}')
+        with pytest.raises(CorpusError, match="3 feature files but 2 "
+                           "annotated sentences$"):
+            load_dataset(tmp_path / "manifest.json", VOCAB)
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_crlf_files_load_as_their_lf_twins(self, tmp_path, final_newline):
+        ds = generate_synthetic(SyntheticConfig(instance_count=4, seed=9))
+        loaded = []
+        for ending in ("\n", "\r\n"):
+            out = tmp_path / repr(ending)
+            manifest = save_dataset(ds, out)
+            write_vocabulary(out / "vocab.txt", ds.vocabulary)
+            for path in (out / "vocab.txt", out / "annotations_train.txt"):
+                text = path.read_text()
+                if not final_newline:
+                    text = text.removesuffix("\n")
+                path.write_text(text.replace("\n", ending), newline="")
+            vocab = read_vocabulary(out / "vocab.txt")
+            loaded.append((vocab, load_dataset(manifest, vocab)))
+        (lf_vocab, lf), (crlf_vocab, crlf) = loaded
+        assert crlf_vocab.words == lf_vocab.words == ds.vocabulary.words
+        assert [s for _, s in crlf.instances] == [s for _, s in lf.instances] \
+            == [s for _, s in ds.instances]
+        for (va, _), (vb, _) in zip(crlf.instances, lf.instances):
+            assert va.clips.tobytes() == vb.clips.tobytes()
 
     def test_missing_feature_file(self, tmp_path):
         (tmp_path / "ann.txt").write_text("a\n")

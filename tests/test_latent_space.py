@@ -512,9 +512,27 @@ class TestWindowPolicy:
                 dtw(v, s, window_policy(n, m))  # raises if infeasible
 
     def test_closed_form_matches_loop(self):
-        for n in range(1, 201):
-            for m in range(1, n + 1):
-                assert window_policy(n, m) == loop_window_policy(n, m), (n, m)
+        # each (n, m) band is built once, and its mask once and read-only;
+        # the caches are emptied per n, since every mask up to n = 200 would
+        # take about 200 MB
+        try:
+            for n in range(1, 201):
+                clip = np.arange(n)[:, None]
+                for m in range(1, n + 1):
+                    policy = window_policy(n, m)
+                    want = loop_window_policy(n, m)
+                    assert policy == want, (n, m)
+                    assert window_policy(n, m) is policy
+                    mask = policy.feasible_mask(n)
+                    assert not mask.flags.writeable
+                    assert policy.feasible_mask(n) is mask
+                    assert np.array_equal(mask, (clip >= np.array(want.lo))
+                                          & (clip <= np.array(want.hi)))
+                window_policy.cache_clear()
+                WindowPolicy.feasible_mask.cache_clear()
+        finally:
+            window_policy.cache_clear()
+            WindowPolicy.feasible_mask.cache_clear()
 
 
 class TestRelevance:

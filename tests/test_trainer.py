@@ -286,6 +286,15 @@ class TestConfig:
                            r".*absent\.cfg: No such file or directory$"):
             load_config(tmp_path / "absent.cfg")
 
+    def test_lines_break_at_line_feeds_alone(self):
+        # a form feed ends no line, and CRLF lines parse as LF lines
+        with pytest.raises(ConfigError, match="^line 2: unknown key"):
+            parse_config("epochs = 2\x0c\nmomentum = 0.9\n")
+        with pytest.raises(ConfigError, match="^line 1: bad value"):
+            parse_config("lambda1 = 0.4\x0cepochs = 3\n")
+        text = "# header\n\nlambda1 = 0.4  # inline\nepochs = 3\n"
+        assert parse_config(text.replace("\n", "\r\n")) == parse_config(text)
+
     def test_strategy_value(self):
         cfg = parse_config("strategy = pair-split\n")
         assert cfg.strategy.kind == "pair-split"
@@ -360,6 +369,96 @@ class TestTrain:
                                   lambda1=0.0, lambda2=0.0)
         state = train(ds, cfg)
         assert state.history[-1].total < state.history[0].total
+
+
+def fresh_joint_grad(batch, ls, han, cfg):
+    """``joint_grad`` as it was before the gradient buffer was reused: a
+    fresh buffer per step, the relevance terms assigned first, then the
+    scaled coherence gradient and the ridge term added over the whole
+    buffer."""
+    grads = Parameters(han.layout)
+    scale = 1.0 / len(batch)
+    if cfg.lambda1 > 0.0:
+        _, g_tv, g_ts = ls_mod.relevance_grad(ls, batch, cfg.windowed_dtw)
+        grads["t_v"] = cfg.lambda1 * scale * g_tv
+        grads["t_s"] = cfg.lambda1 * scale * g_ts
+    if cfg.lambda1 < 1.0:
+        _, g_coh = han_mod.coherence_grad(han, ls, batch, cfg.strategy)
+        grads.flat += (1.0 - cfg.lambda1) * scale * g_coh.flat
+    if cfg.lambda2 > 0.0:
+        grads.flat += 2.0 * cfg.lambda2 * han.flat
+    return grads
+
+
+def fresh_buffer_train(dataset, cfg):
+    """The training loop with a fresh gradient per step and the descent step
+    ``han.flat -= rate * grads.flat``; returns the final parameter buffer."""
+    state = init_state(cfg, dataset.instances[0][0].dim, dataset.vocabulary.size)
+    for epoch in range(cfg.epochs):
+        rate = learning_rate_at(cfg, epoch)
+        order = state.rng.permutation(len(dataset))
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = [dataset.instances[i] for i in order[lo:lo + cfg.batch_size]]
+            grads = fresh_joint_grad(batch, state.ls, state.han, cfg)
+            clip_gradients(grads, cfg.max_grad_norm)
+            state.han.flat -= rate * grads.flat
+    return state.han.flat
+
+
+GRID = [dataclasses.replace(TINY, lambda1=lambda1, lambda2=lambda2,
+                            windowed_dtw=windowed)
+        for lambda1 in (0.0, 0.6, 1.0) for lambda2 in (0.0, 2e-4)
+        for windowed in (True, False)]
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("cfg", GRID, ids=lambda c: (
+        f"l1={c.lambda1}-l2={c.lambda2}-windowed={c.windowed_dtw}"))
+    def test_training_matches_fresh_buffers_bytewise(self, cfg):
+        # a partial last batch, and a clip norm that some steps exceed
+        cfg = dataclasses.replace(cfg, epochs=3, learning_rate=0.3,
+                                  max_grad_norm=1.0)
+        ds = tiny_dataset(6, count=7)
+        assert train(ds, cfg).han.flat.tobytes() \
+            == fresh_buffer_train(ds, cfg).tobytes()
+
+    @pytest.mark.parametrize("cfg", GRID[::2], ids=lambda c: (
+        f"l1={c.lambda1}-l2={c.lambda2}"))
+    def test_out_is_zero_filled(self, cfg):
+        batch = tiny_batch(14, count=3)
+        state = tiny_state(seed=14)
+        out = Parameters(state.han.layout)
+        out.flat[:] = np.random.default_rng(14).normal(size=out.flat.size)
+        out.flat[::7] = np.nan
+        fresh = joint_grad(batch, state.ls, state.han, cfg)
+        assert joint_grad(batch, state.ls, state.han, cfg, out) is out
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+        assert out.losses == fresh.losses
+
+    def test_one_buffer_per_run(self, monkeypatch):
+        # the Parameters built by a run do not grow with its steps, and every
+        # step's gradient goes into one buffer
+        built, buffers = [], []
+        init = Parameters.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def recording_grad(*args):
+            buffers.append(args[4])
+            return joint_grad(*args)
+
+        monkeypatch.setattr(Parameters, "__init__", counting_init)
+        monkeypatch.setattr(trainer, "joint_grad", recording_grad)
+        for epochs in (2, 4):
+            built.clear()
+            buffers.clear()
+            train(tiny_dataset(7, count=5),
+                  dataclasses.replace(TINY, epochs=epochs))
+            assert len(built) == 2   # the parameters and the gradient
+            assert len(buffers) == 2 * epochs   # batches of 4 and 1
+            assert all(out is buffers[0] for out in buffers)
 
 
 class TestGradCheck:
