@@ -186,7 +186,8 @@ def _cmd_probe(args) -> int:
     report.write_csv(out)
     _write_run_manifest(out.parent, "probe", vars(args))
     print(f"mean_spearman {report.mean_correlation:.4f}  "
-          f"videos={len(report.videos)} skipped={report.skipped}")
+          f"videos={len(report.videos)} skipped={report.skipped} "
+          f"dtw={'windowed' if report.windowed else 'unwindowed'}")
     return EXIT_OK
 
 

@@ -135,6 +135,7 @@ class ProbeReport:
     videos: list[ProbeVideo]
     mean_correlation: float
     skipped: int
+    windowed: bool   # whether the distances come from the banded DTW
 
     def write_csv(self, path: Path | str) -> None:
         write_csv(path, ["video_id", "rank", "log_prob", "dtw_distance"],
@@ -162,6 +163,7 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
         raise ValueError("probe needs k >= 2")
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    windowed = False   # the probe ranks by the unbanded DTW
     rng = np.random.default_rng(seed)
     sample_count = min(sample_count, len(dataset))
     picks = rng.choice(len(dataset), size=sample_count, replace=False)
@@ -176,7 +178,7 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
             skipped += 1
             continue
         tables = ls_mod.align_batch(
-            ls, [(video, Sentence(t)) for t, _ in hyps], windowed=False)
+            ls, [(video, Sentence(t)) for t, _ in hyps], windowed)
         scored = [(t, log_p, table.total)
                   for (t, log_p), table in zip(hyps, tables)]
         _, inverse, counts = np.unique([d for _, _, d in scored],
@@ -190,7 +192,7 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
         rho = np.corrcoef(np.arange(1, len(scored) + 1), distance_ranks)[0, 1]
         videos.append(ProbeVideo(int(vid), scored, float(rho)))
     mean = float(np.mean([v.correlation for v in videos])) if videos else float("nan")
-    return ProbeReport(videos, mean, skipped)
+    return ProbeReport(videos, mean, skipped, windowed)
 
 
 @dataclass

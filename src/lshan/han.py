@@ -488,6 +488,14 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     other token, and equal scores go to the smaller token tuple, so k=1 is
     greedy decoding.
 
+    The search stops once k hypotheses have finished and the k-th best of
+    them scores strictly above every live one (the optimal stopping test of
+    Huang, Zhao & Ma, EMNLP 2017). Log-probabilities are at most 0, so a
+    hypothesis's score only falls as it grows: whatever a live hypothesis
+    would still become sorts below the k finished ones, and the result is
+    the one the search would return at max_len. On a tie the live
+    hypothesis could hold the smaller token tuple, so the search goes on.
+
     Each step is one ``_decode_step`` over the live hypotheses: their states
     as one (L, q) stack, or as a single (q,) state while only one is live,
     as for k=1 and the first step of every beam, where a stack's per-call
@@ -527,6 +535,9 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
             else:
                 kept.append(i)
                 extended.append(tokens)
+        if kept and len(finished) >= k and cand[kept].max() < sorted(
+                s for _, s in finished)[-k]:
+            extended = []   # the stop: nothing live can reach the k best
         live = extended
         if not live:
             break

@@ -22,6 +22,11 @@ import numpy as np
 from .corpus import ClipFeatureSequence, Sentence
 
 DEGENERATE_DISTANCE = 1e-8  # below this a path cell contributes zero gradient
+# The most (n, m) bands, and masks, kept at once: a standard corpus (3-7
+# words of 2-4 clips) holds 55 shapes and a long one (10-15 words of 4-8
+# clips) 306, so 512 keeps both, and holds at most 20 MB of masks for
+# shapes up to n = 200.
+BAND_CACHE_SIZE = 512
 
 
 class AlignmentError(ValueError):
@@ -60,7 +65,8 @@ class WindowPolicy:
     lo: tuple[int, ...]  # first feasible clip per word
     hi: tuple[int, ...]  # last feasible clip per word
 
-    @functools.cache   # one read-only mask per policy and n, shared by callers
+    # one read-only mask per policy and n, shared by callers
+    @functools.lru_cache(maxsize=BAND_CACHE_SIZE)
     def feasible_mask(self, n: int) -> np.ndarray:
         clip = np.arange(n)[:, None]
         mask = (clip >= np.array(self.lo)) & (clip <= np.array(self.hi))
@@ -106,10 +112,11 @@ def project_sentence(t_s: np.ndarray, sentence: Sentence) -> np.ndarray:
     return t_s[:, tokens].T
 
 
-@functools.cache
+@functools.lru_cache(maxsize=BAND_CACHE_SIZE)
 def window_policy(n: int, m: int) -> WindowPolicy:
     """Per-word feasible clip ranges from evenly assigned overlapping windows;
-    built once per ``(n, m)``, and the same policy is returned after."""
+    built once per ``(n, m)``, and the same policy is returned while the
+    shape stays among the ``BAND_CACHE_SIZE`` most recently used."""
     if not n >= m >= 1:
         raise AlignmentError(f"need n >= m >= 1, got n={n}, m={m}")
     if m == 1:

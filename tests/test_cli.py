@@ -199,6 +199,18 @@ class TestTrainEval:
                    "--out", str(out)) == 0
         assert out.read_text().startswith("video_id,rank,log_prob,dtw_distance")
 
+    def test_probe_summary_names_its_dtw(self, tmp_path, capsys, data_dir):
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "model"
+        run("train", "--config", str(cfg), "--data", str(data_dir),
+            "--out", str(model_dir))
+        capsys.readouterr()
+        assert run("probe", "--model", str(model_dir / "final.lshn"),
+                   "--data", str(data_dir), "--k", "3", "--samples", "3",
+                   "--out", str(tmp_path / "probe.csv")) == 0
+        assert re.fullmatch(r"mean_spearman \S+  videos=\d+ skipped=\d+ "
+                            r"dtw=unwindowed\n", capsys.readouterr().out)
+
     def test_reruns_write_identical_bytes(self, tmp_path, capsys, data_dir):
         """``eval``, ``align`` and ``probe`` of one model write the same
         bytes when run again: their CSVs, their manifests and their stdout,

@@ -623,11 +623,33 @@ def end_at_second_step(seed):
     return ls, han
 
 
+def one_survivor_at_second_step(seed):
+    """A tiny model whose decoder runs the same states from any input, with
+    c_t = t - 1.5 in unit 0 and t - 2.5 in unit 1, so that the #End logit
+    100 (h_0 - h_1) - 86.4 is +6 at the second step and below -40 at every
+    other. Words hold fixed logits: word 2 at 5, words 3..9 at 0, -0.01, ...,
+    -0.07. A beam of k >= 2 keeps word 2 and the next k - 1 words, then
+    ends word 2 and the next k - 2 parents on #End and extends word 2 by
+    word 2: k - 1 hypotheses finish at one step, too few for the stop, and
+    the one survivor grows back to k at the third step."""
+    ls, han = tiny_model(seed)
+    for name in ("decoder.w", "decoder.u", "init_c.w", "emit_w"):
+        han[name] = 0.0
+    han["decoder.b"] = 20.0
+    han["init_c.b"][:2] = (-1.5, -2.5)
+    han["emit_w"][END_INDEX, :2] = (100.0, -100.0)
+    han["emit_b"][END_INDEX] = -86.4
+    han["emit_b"][2] = 5.0
+    han["emit_b"][3:] = -0.01 * np.arange(7)
+    return ls, han
+
+
 def beam_models():
     """(name, ls, han, video): seeded tiny models as drawn, with #End made
     likelier, so that beams shrink to one live hypothesis and grow again,
-    and ``end_at_second_step``. Over twelve seeds, a k = 2 beam also shrinks
-    to its second row with a hypothesis that stays among the k best."""
+    ``end_at_second_step`` and ``one_survivor_at_second_step``. Over twelve
+    seeds, a k = 2 beam also shrinks to its second row with a hypothesis
+    that stays among the k best."""
     for seed in range(12):
         video, _ = tiny_instance(seed)
         ls, han = tiny_model(seed)
@@ -637,6 +659,8 @@ def beam_models():
             han["emit_b"][END_INDEX] += bias
             yield "end-favoured", ls, han, video
         yield ("end-at-second-step",) + end_at_second_step(seed) + (video,)
+        yield (("one-survivor-at-second-step",)
+               + one_survivor_at_second_step(seed) + (video,))
 
 
 class TestStackedBeam:
@@ -669,10 +693,103 @@ class TestStackedBeam:
                 if name == "end-at-second-step" and max_len >= 2:
                     assert widths == [1, k]   # every hypothesis ended on #End
                     assert [len(t) for t, _ in got] == [1] * k
+                if name == "one-survivor-at-second-step" and max_len >= 4 \
+                        and k > 1:
+                    assert widths[:4] == [1, k, 1, k]
                 # a stack, then a single state, then a stack again
                 regrown += bool(re.search(r"S1+S", "".join(
                     "S" if w > 1 else "1" for w in widths)))
         assert (regrown > 0) == (k > 1)
+
+
+def tie_at_second_step(seed):
+    """A tiny model whose decoder runs the same states from any input, every
+    gate exactly 1 and c_t = t - 1, so h_1 = 0 exactly. #End and word 2
+    share their logits, and word 3 ties with them at the first step only.
+    A k = 3 beam finishes (), (2,) and (3,) and keeps (2, 2), whose score
+    equals that of (3,) exactly and whose tokens sort first."""
+    ls, han = tiny_model(seed)
+    for name in ("decoder.w", "decoder.u", "init_c.w", "emit_w", "emit_b"):
+        han[name] = 0.0
+    han["decoder.b"] = 80.0   # sigmoid and tanh round to exactly 1
+    han["init_c.b"] = -1.0
+    han["emit_w"][3] = -1.0
+    han["emit_b"][4:] = -10.0
+    return ls, han
+
+
+def decode_step_calls(monkeypatch):
+    """A list that grows by one entry per ``_decode_step`` call."""
+    calls = []
+    step = han_mod._decode_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(han_mod, "_decode_step", counted)
+    return calls
+
+
+def long_beams():
+    """(ls, han, video) of seeded tiny models as drawn whose beams keep a
+    live hypothesis for all ``MAX_DECODE_LEN`` steps at every k >= 2, while
+    their k best settle within a dozen steps."""
+    for seed in (5, 6, 7):
+        video, _ = tiny_instance(seed)
+        yield tiny_model(seed) + (video,)
+
+
+class TestBeamStop:
+    def test_long_beams_match_the_unstopped_oracle(self, monkeypatch):
+        calls = decode_step_calls(monkeypatch)
+        max_len = han_mod.MAX_DECODE_LEN
+        for ls, han, video in long_beams():
+            for k in range(1, 9):
+                args = (han, ls, video, han_mod.DEFAULT_STRATEGY, k, max_len)
+                calls.clear()
+                want = oracle.kbest_decode(*args)
+                at_max_len = len(calls)
+                calls.clear()
+                oracle.kbest_decode(*args[:-1], max_len + 1)
+                # the beam does not empty: one step more costs more calls
+                assert k == 1 or len(calls) > at_max_len
+                got = kbest_decode(*args)
+                assert [t for t, _ in got] == [t for t, _ in want]
+                if k == 1:
+                    assert np.array([s for _, s in got]).tobytes() == \
+                        np.array([s for _, s in want]).tobytes()
+                for (_, a), (_, b) in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_stops_well_before_max_len(self, monkeypatch):
+        calls = decode_step_calls(monkeypatch)
+        for ls, han, video in long_beams():
+            for k in range(2, 9):
+                calls.clear()
+                kbest_decode(han, ls, video, han_mod.DEFAULT_STRATEGY, k,
+                             han_mod.MAX_DECODE_LEN)
+                assert len(calls) <= han_mod.MAX_DECODE_LEN // 2, k
+
+    def test_a_tie_with_the_kth_finished_goes_on(self, monkeypatch):
+        ls, han = tie_at_second_step(0)
+        video, _ = tiny_instance(0)
+        args = (han, ls, video, han_mod.DEFAULT_STRATEGY)
+        # the tie itself: after two steps, (2, 2) scores exactly as (3,)
+        four = oracle.kbest_decode(*args, 4, 2)
+        assert [t for t, _ in four] == [(), (2,), (2, 2), (3,)]
+        assert four[2][1] == four[3][1]
+        calls = decode_step_calls(monkeypatch)
+        for max_len in (2, 3):
+            want = oracle.kbest_decode(*args, 3, max_len)
+            calls.clear()
+            got = kbest_decode(*args, 3, max_len)
+            assert len(calls) == max_len   # the search went on after the tie
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert abs(a - b) <= 1e-12 * abs(b)
+        # the live hypothesis, not the tied finished one, is third
+        assert [t for t, _ in kbest_decode(*args, 3, 2)] == [(), (2,), (2, 2)]
 
 
 class TestCoherenceGrad:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from lshan import latent_space
 from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.latent_space import (
-    DEGENERATE_DISTANCE, AlignmentError, DtwTable, LatentSpaceParams,
-    WindowPolicy, align_batch, backtrack, dtw, dtw_batch, min_path_distance,
-    path_margin, project_sentence, project_video, relevance_grad,
-    relevance_loss, window_policy,
+    BAND_CACHE_SIZE, DEGENERATE_DISTANCE, AlignmentError, DtwTable,
+    LatentSpaceParams, WindowPolicy, align_batch, backtrack, dtw, dtw_batch,
+    min_path_distance, path_margin, project_sentence, project_video,
+    relevance_grad, relevance_loss, window_policy,
 )
 
 
@@ -513,8 +513,7 @@ class TestWindowPolicy:
 
     def test_closed_form_matches_loop(self):
         # each (n, m) band is built once, and its mask once and read-only;
-        # the caches are emptied per n, since every mask up to n = 200 would
-        # take about 200 MB
+        # the 20100 shapes leave the most recent BAND_CACHE_SIZE behind
         try:
             for n in range(1, 201):
                 clip = np.arange(n)[:, None]
@@ -528,8 +527,10 @@ class TestWindowPolicy:
                     assert policy.feasible_mask(n) is mask
                     assert np.array_equal(mask, (clip >= np.array(want.lo))
                                           & (clip <= np.array(want.hi)))
-                window_policy.cache_clear()
-                WindowPolicy.feasible_mask.cache_clear()
+            for cached in (window_policy, WindowPolicy.feasible_mask):
+                info = cached.cache_info()
+                assert info.maxsize == BAND_CACHE_SIZE
+                assert info.currsize == BAND_CACHE_SIZE
         finally:
             window_policy.cache_clear()
             WindowPolicy.feasible_mask.cache_clear()
