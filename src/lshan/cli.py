@@ -2,8 +2,8 @@
 
 Subcommands: synth, train, eval, align, gradcheck, probe, sweep.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Every command but gradcheck writes a run manifest (config echo, seed,
-version) beside its outputs so a run can be reproduced from the manifest alone.
+Every command but gradcheck writes a run manifest beside its outputs: the
+command, its arguments, the lshan version and the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ls, han, strategy, dataset = _load_model_and_split(args)
     start = time.perf_counter()
-    report = eval_mod.evaluate(ls, han, dataset, strategy, args.max_len)
+    report = eval_mod.evaluate(ls, han, dataset, strategy)
     seconds = time.perf_counter() - start
     out = Path(args.out)
     report.write_csv(out)
@@ -180,8 +180,7 @@ def _cmd_probe(args) -> int:
     ls, han, strategy, dataset = _load_model_and_split(args)
     report = eval_mod.consistency_probe(ls, han, dataset, k=args.k,
                                         sample_count=args.samples,
-                                        seed=args.seed, strategy=strategy,
-                                        max_len=args.max_len)
+                                        seed=args.seed, strategy=strategy)
     out = Path(args.out)
     report.write_csv(out)
     _write_run_manifest(out.parent, "probe", vars(args))
@@ -240,7 +239,6 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="test")
     p.add_argument("--strategy", default=None,
                    help="two-split | pair-split | even-<k>; default from checkpoint")
-    p.add_argument("--max-len", type=int, default=han_mod.MAX_DECODE_LEN)
     p.add_argument("--out", default="report.csv")
     p.set_defaults(func=_cmd_eval)
 
@@ -269,7 +267,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--strategy", default=None)
-    p.add_argument("--max-len", type=int, default=han_mod.MAX_DECODE_LEN)
     p.add_argument("--out", default="probe.csv")
     p.set_defaults(func=_cmd_probe)
 

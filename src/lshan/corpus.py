@@ -157,8 +157,9 @@ class SyntheticConfig:
     def __post_init__(self):
         if min(self.vocab_size, self.feature_dim, self.instance_count) < 1:
             raise ValueError("all synthetic counts must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise standard deviation must be >= 0")
+        if not 0 <= self.noise_std < np.inf:   # NaN compares false
+            raise ValueError("noise standard deviation must be >= 0 and "
+                             f"finite, got {self.noise_std}")
         k_lo, k_hi = self.clips_per_word
         m_lo, m_hi = self.sentence_length
         if k_lo < 1 or k_hi < k_lo:

@@ -426,12 +426,11 @@ def coherence_loss(han: Parameters, ls: LatentSpaceParams,
 
 
 def coherence_grad(han: Parameters, ls: LatentSpaceParams, batch,
-                   strategy: SegmentationStrategy = DEFAULT_STRATEGY,
-                   out: Parameters | None = None
+                   strategy: SegmentationStrategy, out: Parameters
                    ) -> tuple[list[float], Parameters]:
     """The coherence loss of each instance of ``batch``, in batch order, and
     the reverse-mode gradient of their sum, laid out like ``han``: added into
-    ``out`` and returned in it, or into a zeroed buffer when ``out`` is None.
+    ``out`` and returned in it.
 
     Input gradients reach the projections as matrix products: clip latents
     map back through the raw clip features, word latents through their
@@ -439,18 +438,17 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams, batch,
     """
     losses, fwd = _coherence_forward(han, ls, batch, strategy)
     enc, pad, inputs, targets, dec_cache, hs, log_probs = fwd
-    grads = Parameters(han.layout) if out is None else out
     dlogits = np.exp(log_probs)
     dlogits[np.arange(len(targets)), targets] -= 1.0   # probs - one-hot
-    grads["emit_w"] += dlogits.T @ hs
-    grads["emit_b"] += dlogits.sum(axis=0)
+    out["emit_w"] += dlogits.T @ hs
+    out["emit_b"] += dlogits.sum(axis=0)
     dxs, dh0, dc0 = _lstm_backward(han.group("decoder"), dec_cache,
                                    pad.stack(dlogits @ han["emit_w"]),
-                                   grads.group("decoder"))
-    np.add.at(grads["t_s"].T, inputs, dxs[pad.at])
-    dlatent = _encode_backward(han, enc, dh0, dc0, grads)
-    grads["t_v"] += dlatent.T @ np.concatenate([v.clips for v, _ in batch])
-    return losses.tolist(), grads
+                                   out.group("decoder"))
+    np.add.at(out["t_s"].T, inputs, dxs[pad.at])
+    dlatent = _encode_backward(han, enc, dh0, dc0, out)
+    out["t_v"] += dlatent.T @ np.concatenate([v.clips for v, _ in batch])
+    return losses.tolist(), out
 
 
 # ---------------------------------------------------------------------------

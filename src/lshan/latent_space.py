@@ -22,9 +22,9 @@ import numpy as np
 from .corpus import ClipFeatureSequence, Sentence
 
 DEGENERATE_DISTANCE = 1e-8  # below this a path cell contributes zero gradient
-# The most (n, m) bands, and masks, kept at once: a standard corpus (3-7
-# words of 2-4 clips) holds 55 shapes and a long one (10-15 words of 4-8
-# clips) 306, so 512 keeps both, and holds at most 20 MB of masks for
+# The most (n, m) bands kept at once, each with its mask: a standard corpus
+# (3-7 words of 2-4 clips) holds 55 shapes and a long one (10-15 words of
+# 4-8 clips) 306, so 512 keeps both, and holds at most 20 MB of masks for
 # shapes up to n = 200.
 BAND_CACHE_SIZE = 512
 
@@ -65,10 +65,10 @@ class WindowPolicy:
     lo: tuple[int, ...]  # first feasible clip per word
     hi: tuple[int, ...]  # last feasible clip per word
 
-    # one read-only mask per policy and n, shared by callers
-    @functools.lru_cache(maxsize=BAND_CACHE_SIZE)
-    def feasible_mask(self, n: int) -> np.ndarray:
-        clip = np.arange(n)[:, None]
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """The band as a read-only ``(max(hi) + 1, m)`` mask, built once."""
+        clip = np.arange(max(self.hi) + 1)[:, None]
         mask = (clip >= np.array(self.lo)) & (clip <= np.array(self.hi))
         mask.setflags(write=False)
         return mask
@@ -158,7 +158,7 @@ def dtw_batch(triples) -> list[DtwTable]:
         diff = v_latent[:, None, :] - s_latent[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         np.copyto(steps[:n, b, 1:m + 1], dist, where=True if policy is None
-                  else policy.feasible_mask(n))
+                  else policy.mask)
         costs[0, b, 1] = dist[0, 0]
         tables.append(DtwTable(costs[:n, b, 1:m + 1], dist))
     flat, flat_steps = costs.reshape(n_max, -1), steps.reshape(n_max, -1)
@@ -237,19 +237,3 @@ def relevance_grad(ls: LatentSpaceParams, batch, windowed: bool
     clips = np.concatenate([video.clips for video, _ in batch])[keep]
     return [table.total for table in tables], unit.T @ clips, g_ts
 
-
-def path_margin(table: DtwTable, path: AlignmentPath) -> float:
-    """Smallest |D[i-1,j] - D[i-1,j-1]| over the path's binary min choices.
-
-    Small margins flag points where the argmin path is not unique and the loss
-    is non-differentiable; gradient checks skip them.
-    """
-    i = np.flatnonzero(path.words)  # word j > 0 needs clip i >= j > 0
-    j = path.words[i]
-    a, b = table.costs[i - 1, j], table.costs[i - 1, j - 1]
-    gaps = np.abs(a - b)[np.isfinite(a) & np.isfinite(b)]
-    return float(gaps.min(initial=np.inf))
-
-
-def min_path_distance(table: DtwTable, path: AlignmentPath) -> float:
-    return float(table.dist[np.arange(path.words.size), path.words].min())

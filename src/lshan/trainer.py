@@ -330,10 +330,18 @@ class GradCheckReport:
 
 
 def _instance_degenerate(table: ls_mod.DtwTable) -> bool:
-    """True where the DTW argmin path is nearly tied or hits near-zero distances."""
-    path = ls_mod.backtrack(table)
-    return (ls_mod.path_margin(table, path) < 1e-3
-            or ls_mod.min_path_distance(table, path) < 1e-6)
+    """True where the DTW argmin path is nearly tied or hits near-zero
+    distances: one of its binary min choices has a margin
+    |D[i-1,j] - D[i-1,j-1]| below 1e-3 (the argmin path is not unique and
+    the loss not differentiable), or one of its cells a distance below 1e-6.
+    """
+    words = ls_mod.backtrack(table).words
+    i = np.flatnonzero(words)  # word j > 0 needs clip i >= j > 0
+    j = words[i]
+    a, b = table.costs[i - 1, j], table.costs[i - 1, j - 1]
+    gaps = np.abs(a - b)[np.isfinite(a) & np.isfinite(b)]
+    return bool(gaps.min(initial=np.inf) < 1e-3
+                or table.dist[np.arange(words.size), words].min() < 1e-6)
 
 
 def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,

@@ -523,8 +523,9 @@ class TestExitCodes:
                        f">= 1, got {v}", id=f"samples-{v}") for v in ("0", "-1")],
         pytest.param(["probe", "--k", "1"], 1, "probe needs k >= 2",
                      id="probe-k-1"),
-        *[pytest.param([command, "--max-len", "0"], 1, "max_len must be >= 1",
-                       id=f"{command}-max-len-0") for command in ("probe", "eval")],
+        *[pytest.param([command, "--max-len", "30"], 1, "unrecognized "
+                       "arguments: --max-len 30", id=f"{command}-max-len-30")
+          for command in ("probe", "eval")],
         *[pytest.param(["synth", flag, "0"], 1, "all synthetic counts must "
                        "be positive", id=f"synth{flag}-0")
           for flag in ("--vocab-size", "--feature-dim")],
@@ -534,8 +535,9 @@ class TestExitCodes:
         pytest.param(["synth", "--sentence-len-min", "0"], 1, "sentence-"
                      "length range must satisfy 1 <= lo <= hi",
                      id="synth--sentence-len-min-0"),
-        pytest.param(["synth", "--noise", "-1"], 1, "noise standard "
-                     "deviation must be >= 0", id="synth--noise--1"),
+        *[pytest.param(["synth", "--noise", v], 1, "noise standard "
+                       "deviation must be >= 0", id=f"synth--noise-{v}")
+          for v in ("-1", "nan", "inf")],
         pytest.param(["synth", "--val-instances", "-1"], 1, "instance counts "
                      "must be >= 0, got {'train': 4, 'validation': -1, "
                      "'test': 2}", id="synth--val-instances--1"),

@@ -56,7 +56,8 @@ class TestSynthetic:
             assert max(alignment) == sentence.length - 1
 
     def test_invalid_config(self):
-        for knobs in ({"noise_std": -1.0}, {"clips_per_word": (0, 2)},
+        for knobs in ({"noise_std": -1.0}, {"noise_std": np.nan},
+                      {"noise_std": np.inf}, {"clips_per_word": (0, 2)},
                       {"sentence_length": (0, 2)}, {"vocab_size": 0},
                       {"feature_dim": 0}, {"instance_count": 0}):
             with pytest.raises(ValueError) as info:

@@ -810,7 +810,7 @@ class TestCoherenceGrad:
                 rng.integers(0, 12)), 5)))
             repeated += len(set(sentence.tokens)) < m
             (loss,), grads = coherence_grad(han, ls, [(video, sentence)],
-                                            strategy)
+                                            strategy, Parameters(han.layout))
             want_loss, want = oracle.coherence_grad(han, ls, video, sentence,
                                                     strategy)
             assert_close_arrays(grads, want)
@@ -834,7 +834,8 @@ class TestCoherenceGrad:
                 batch.append((video, Sentence(tuple(
                     int(w) for w in rng.integers(2, 10, size=m)))))
                 one_word += m == 1
-            losses, grads = coherence_grad(han, ls, batch, strategy)
+            losses, grads = coherence_grad(han, ls, batch, strategy,
+                                           Parameters(han.layout))
             want = Parameters(han.layout)
             for (video, sentence), loss in zip(batch, losses, strict=True):
                 want_loss, g = oracle.coherence_grad(han, ls, video, sentence,
@@ -851,7 +852,9 @@ class TestCoherenceGrad:
                                             han_mod.DEFAULT_STRATEGY)
         probs, targets = np.exp(fwd[-1]), fwd[3]
         expected = sum(p - np.eye(10)[t] for p, t in zip(probs, targets))
-        _, grads = coherence_grad(han, ls, [(video, sentence)])
+        _, grads = coherence_grad(han, ls, [(video, sentence)],
+                                  han_mod.DEFAULT_STRATEGY,
+                                  Parameters(han.layout))
         np.testing.assert_allclose(grads["emit_b"], expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -860,7 +863,7 @@ class TestCoherenceGrad:
         video, sentence = tiny_instance(seed + 30, n=5, m=2)
         strategy = even(3)
         (value,), grads = coherence_grad(han, ls, [(video, sentence)],
-                                         strategy)
+                                         strategy, Parameters(han.layout))
         eps = 1e-5
 
         def loss():

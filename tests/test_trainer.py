@@ -383,7 +383,8 @@ def fresh_joint_grad(batch, ls, han, cfg):
         grads["t_v"] = cfg.lambda1 * scale * g_tv
         grads["t_s"] = cfg.lambda1 * scale * g_ts
     if cfg.lambda1 < 1.0:
-        _, g_coh = han_mod.coherence_grad(han, ls, batch, cfg.strategy)
+        _, g_coh = han_mod.coherence_grad(han, ls, batch, cfg.strategy,
+                                          Parameters(han.layout))
         grads.flat += (1.0 - cfg.lambda1) * scale * g_coh.flat
     if cfg.lambda2 > 0.0:
         grads.flat += 2.0 * cfg.lambda2 * han.flat
@@ -504,6 +505,18 @@ class TestGradCheck:
         report = grad_check(self.make_instances(3), self.cfg())
         assert not report.passed
         assert report.failed == ["t_s"]
+
+    @pytest.mark.parametrize("clips,words,degenerate", [
+        ([[5e-7]], [[0.0]], True),       # a path distance below 1e-6
+        ([[2e-6]], [[0.0]], False),
+        # the clip in the middle chooses between the words with a margin of
+        # 8e-4, below 1e-3, then of 1.2e-3; every distance is at least 1
+        ([[1.0], [5.0004], [11.0]], [[0.0], [10.0]], True),
+        ([[1.0], [5.0006], [11.0]], [[0.0], [10.0]], False),
+    ])
+    def test_degenerate_thresholds(self, clips, words, degenerate):
+        table = ls_mod.dtw(np.array(clips), np.array(words))
+        assert trainer._instance_degenerate(table) is degenerate
 
 
 class TestGradCheckOracle:
