@@ -9,6 +9,7 @@ words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
@@ -145,6 +146,30 @@ class ProbeReport:
                                                         start=1)))
 
 
+def _spearman(distances: list[float]) -> float:
+    """Spearman correlation of the decoder ranks 1..L with the ranks of
+    ``distances``, tied distances sharing their average rank: the Pearson
+    correlation of the two rank lists, in the steps ``np.corrcoef`` takes.
+
+    Every rank and mean is a multiple of 1/2, so the deviations and their
+    products sum exactly in any order; what rounds is the same scaling by
+    ``1.0 / (L - 1)``, square roots and two divisions, so the result is
+    ``np.corrcoef``'s to the bit. Undefined (a zero division) when every
+    distance ties.
+    """
+    count = len(distances)
+    mean = (count + 1) / 2
+    ranks = [sum(e < d for e in distances)
+             + (sum(e == d for e in distances) + 1) / 2 for d in distances]
+    decoder = [rank - mean for rank in range(1, count + 1)]
+    ranked = [rank - mean for rank in ranks]
+    scale = 1.0 / (count - 1)
+    covariance = sum(a * b for a, b in zip(decoder, ranked)) * scale
+    rho = covariance / math.sqrt(sum(a * a for a in decoder) * scale) \
+        / math.sqrt(sum(b * b for b in ranked) * scale)
+    return min(1.0, max(-1.0, rho))
+
+
 def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
                       k: int = 5, sample_count: int = 10, seed: int = 0,
                       strategy: SegmentationStrategy = han_mod.DEFAULT_STRATEGY,
@@ -181,16 +206,11 @@ def consistency_probe(ls: LatentSpaceParams, han: Parameters, dataset: Dataset,
             ls, [(video, Sentence(t)) for t, _ in hyps], windowed)
         scored = [(t, log_p, table.total)
                   for (t, log_p), table in zip(hyps, tables)]
-        _, inverse, counts = np.unique([d for _, _, d in scored],
-                                       return_inverse=True, return_counts=True)
-        if len(counts) < 2:
+        distances = [d for _, _, d in scored]
+        if all(d == distances[0] for d in distances):
             skipped += 1
             continue
-        # Spearman: the Pearson correlation of the decoder ranks 1..L with
-        # the distances' ranks, tied distances sharing their average rank
-        distance_ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-        rho = np.corrcoef(np.arange(1, len(scored) + 1), distance_ranks)[0, 1]
-        videos.append(ProbeVideo(int(vid), scored, float(rho)))
+        videos.append(ProbeVideo(int(vid), scored, _spearman(distances)))
     mean = float(np.mean([v.correlation for v in videos])) if videos else float("nan")
     return ProbeReport(videos, mean, skipped, windowed)
 

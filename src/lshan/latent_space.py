@@ -131,32 +131,39 @@ def window_policy(n: int, m: int) -> WindowPolicy:
         tuple([start + length - 1 for start in starts]))
 
 
+def distances(v_latent: np.ndarray, s_latent: np.ndarray) -> np.ndarray:
+    """``(n, m)`` Euclidean distances from each clip latent to each word
+    latent. Each entry depends only on its own two rows, so a column is the
+    same bytes whatever other words share the table."""
+    diff = v_latent[:, None, :] - s_latent[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def dtw(v_latent: np.ndarray, s_latent: np.ndarray,
         policy: WindowPolicy | None = None) -> DtwTable:
     """Accumulated-cost table of the one-clip-per-step monotone recurrence."""
-    return dtw_batch([(v_latent, s_latent, policy)])[0]
+    return dtw_batch([(distances(v_latent, s_latent), policy)])[0]
 
 
-def dtw_batch(triples) -> list[DtwTable]:
-    """Tables of (video latent, sentence latent, policy) triples, filled in
-    lockstep: time-major row i holds, pair after pair, a +inf guard and the
-    pair's D[i, :]. Step costs are +inf at the guards and outside each band,
-    so one flat min-and-add fills row i of every table. Padding goes unread,
-    so the pairs are independent: each table is bit for bit the one its
-    triple gets alone, whatever else shares the batch.
+def dtw_batch(pairs) -> list[DtwTable]:
+    """Accumulated-cost tables of ``(dist, policy)`` pairs, each ``dist``
+    an ``(n, m)`` table of ``distances``, filled in lockstep: time-major row
+    i holds, pair after pair, a +inf guard and the pair's D[i, :]. Step
+    costs are +inf at the guards and outside each band, so one flat
+    min-and-add fills row i of every table. Padding goes unread, so the
+    pairs are independent: each table is bit for bit the one its pair gets
+    alone, whatever else shares the batch.
     """
-    n_max, m_max = np.max([(v.shape[0], s.shape[0]) for v, s, _ in triples], 0)
-    steps = np.full((n_max, len(triples), m_max + 1), np.inf)
-    costs = np.full((n_max, len(triples), m_max + 1), np.inf)
+    n_max, m_max = np.max([dist.shape for dist, _ in pairs], 0)
+    steps = np.full((n_max, len(pairs), m_max + 1), np.inf)
+    costs = np.full((n_max, len(pairs), m_max + 1), np.inf)
     tables = []
-    for b, (v_latent, s_latent, policy) in enumerate(triples):
-        n, m = v_latent.shape[0], s_latent.shape[0]
+    for b, (dist, policy) in enumerate(pairs):
+        n, m = dist.shape
         if n < 1 or m < 1:
             raise AlignmentError("empty sequence")
         if m > n:
             raise AlignmentError(f"no feasible path for n={n} < m={m}")
-        diff = v_latent[:, None, :] - s_latent[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         np.copyto(steps[:n, b, 1:m + 1], dist, where=True if policy is None
                   else policy.mask)
         costs[0, b, 1] = dist[0, 0]
@@ -177,14 +184,16 @@ def backtrack(table: DtwTable) -> AlignmentPath:
     n, m = costs.shape
     if not np.isfinite(costs[n - 1, m - 1]):
         raise AlignmentError("cannot backtrack an infeasible table")
-    words = np.empty(n, dtype=np.intp)
+    # diagonal[i][j - 1]: whether the path into (i + 1, j) comes from (i, j - 1)
+    diagonal = (costs[:-1, :-1] <= costs[:-1, 1:]).tolist()
+    words = [0] * n
     j = m - 1
     for i in range(n - 1, 0, -1):
         words[i] = j
-        if j > 0 and costs[i - 1, j - 1] <= costs[i - 1, j]:
+        if j > 0 and diagonal[i - 1][j - 1]:
             j -= 1
     words[0] = j
-    return AlignmentPath(words)
+    return AlignmentPath(np.array(words, dtype=np.intp))
 
 
 def relevance_loss(params: LatentSpaceParams, video: ClipFeatureSequence,
@@ -198,14 +207,32 @@ def align_batch(ls: LatentSpaceParams, batch, windowed: bool) -> list[DtwTable]:
     """Each ``(video, sentence)`` instance's DTW table, in batch order, from
     one ``dtw_batch``: the one place that chooses the band, each pair's
     ``window_policy`` when ``windowed`` and none otherwise."""
-    return _align(ls, batch, [project_video(ls.t_v, v) for v, _ in batch],
-                  windowed)
+    return _align(ls, batch, windowed)[0]
 
 
-def _align(ls, batch, v_latents, windowed: bool) -> list[DtwTable]:
-    return dtw_batch([(v_lat, project_sentence(ls.t_s, sentence),
-                       window_policy(video.n, sentence.length) if windowed else None)
-                      for (video, sentence), v_lat in zip(batch, v_latents)])
+def _align(ls, batch, windowed: bool) -> tuple[list[DtwTable], list[np.ndarray]]:
+    """``align_batch``'s tables and each instance's video latent. Each
+    distinct video object is projected once and gets one ``distances`` table
+    to the distinct words of its sentences; each pair gathers its columns."""
+    columns = {}   # id(video) -> {word: column}, in order of first use
+    for video, sentence in batch:
+        column = columns.setdefault(id(video), {})
+        for word in sentence.tokens:
+            column.setdefault(word, len(column))
+    projected = {}   # id(video) -> (video latent, distances to its words)
+    pairs, v_latents = [], []
+    for video, sentence in batch:
+        column = columns[id(video)]
+        if id(video) not in projected:
+            v_latent = project_video(ls.t_v, video)
+            projected[id(video)] = v_latent, distances(
+                v_latent, project_sentence(ls.t_s, Sentence(tuple(column))))
+        v_latent, table = projected[id(video)]
+        pairs.append((table[:, [column[word] for word in sentence.tokens]],
+                      window_policy(video.n, sentence.length) if windowed
+                      else None))
+        v_latents.append(v_latent)
+    return dtw_batch(pairs), v_latents
 
 
 def relevance_grad(ls: LatentSpaceParams, batch, windowed: bool
@@ -222,8 +249,7 @@ def relevance_grad(ls: LatentSpaceParams, batch, windowed: bool
     takes every clip once, in order, so the batch's paths pair its clips,
     concatenated, with the words the paths gather.
     """
-    v_latents = [project_video(ls.t_v, video) for video, _ in batch]
-    tables = _align(ls, batch, v_latents, windowed)
+    tables, v_latents = _align(ls, batch, windowed)
     paths = [backtrack(table).words for table in tables]
     dist = np.concatenate([table.dist[np.arange(words.size), words]
                            for table, words in zip(tables, paths)])
@@ -232,8 +258,11 @@ def relevance_grad(ls: LatentSpaceParams, batch, windowed: bool
                              for (_, sentence), words in zip(batch, paths)])[keep]
     v_lat = np.concatenate(v_latents)[keep]
     unit = (v_lat - ls.t_s.T[tokens]) / dist[keep, None]
-    g_ts = np.zeros_like(ls.t_s)
-    np.subtract.at(g_ts.T, tokens, unit)
+    # bincount adds each word's units in clip order from 0.0, so 0.0 - sums
+    # is what subtracting them one by one gives, to the bit
+    d, vocab = ls.t_s.shape
+    g_ts = (0.0 - np.bincount((tokens[:, None] * d + np.arange(d)).ravel(),
+                              unit.ravel(), vocab * d)).reshape(vocab, d).T
     clips = np.concatenate([video.clips for video, _ in batch])[keep]
     return [table.total for table in tables], unit.T @ clips, g_ts
 

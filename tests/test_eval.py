@@ -145,6 +145,15 @@ class TestEvaluate:
                             f"{b.insertions},{b.deletions},{r.accuracy:.6f}")
 
 
+def corrcoef_spearman(distances):
+    """The probe's Spearman as numpy computes it: ``np.unique`` average
+    ranks, then ``np.corrcoef`` against the decoder ranks 1..L."""
+    _, inverse, counts = np.unique(distances, return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return float(np.corrcoef(np.arange(1, len(distances) + 1), ranks)[0, 1])
+
+
 class TestConsistencyProbe:
     def test_requires_k_at_least_two(self):
         ds = tiny_dataset()
@@ -200,9 +209,9 @@ class TestConsistencyProbe:
         hyps = [((w,), -float(w)) for w in range(2, 6)]
         monkeypatch.setattr(han_mod, "kbest_decode", lambda *args: hyps)
         # the probe aligns the hypotheses in one batch, in decoder order
-        monkeypatch.setattr(ev.ls_mod, "dtw_batch", lambda triples: [
+        monkeypatch.setattr(ev.ls_mod, "dtw_batch", lambda pairs: [
             ev.ls_mod.DtwTable(np.array([[d]]), np.array([[d]]))
-            for d, _ in zip(distances, triples, strict=True)])
+            for d, _ in zip(distances, pairs, strict=True)])
         ds = tiny_dataset(1)
         ls, han = tiny_model(ds)
         return consistency_probe(ls, han, ds, k=4, sample_count=1)
@@ -214,6 +223,30 @@ class TestConsistencyProbe:
         assert report.skipped == 0
         assert report.videos[0].correlation == pytest.approx(
             1.0 / np.sqrt(22.5), abs=1e-15)
+
+    def test_spearman_matches_corrcoef_bitwise(self):
+        def same(distances):
+            got, want = ev._spearman(distances), corrcoef_spearman(distances)
+            return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+        # every tie pattern of 2-6 distances (each weak ordering once: the
+        # levels used are 0..k-1) but the one where all tie
+        checked = 0
+        for count in range(2, 7):
+            for levels in itertools.product(range(count), repeat=count):
+                if 1 < len(set(levels)) == max(levels) + 1:
+                    distances = [0.37 * level + 1.1 for level in levels]
+                    assert same(distances), distances
+                    checked += 1
+        # the ordered Bell numbers of 2..6, less the all-tied pattern
+        assert checked == (3 - 1) + (13 - 1) + (75 - 1) + (541 - 1) + (4683 - 1)
+        rng = np.random.default_rng(25)
+        for _ in range(3000):
+            count = int(rng.integers(2, 13))
+            values = rng.exponential(size=int(rng.integers(2, count + 1)))
+            distances = rng.choice(values, size=count).tolist()
+            if len(set(distances)) > 1:
+                assert same(distances), distances
 
     def test_all_distances_tied_is_skipped(self, monkeypatch):
         with warnings.catch_warnings():

@@ -340,8 +340,8 @@ class TestDtw:
             pairs = [random_latents(rng, n, m, 3) for n, m in shapes]
             policies = [window_policy(n, m) if rng.random() < 0.5 else None
                         for n, m in shapes]
-            tables = dtw_batch([(v, s, policy) for (v, s), policy
-                                in zip(pairs, policies)])
+            tables = dtw_batch([(pair_distances(v, s), policy)
+                                for (v, s), policy in zip(pairs, policies)])
             assert len(tables) == len(shapes)
             for (v, s), policy, table in zip(pairs, policies, tables):
                 dist = pair_distances(v, s)
@@ -353,22 +353,49 @@ class TestDtw:
             crossed += max(m for _, m in shapes) > min(n for n, _ in shapes)
         assert crossed > 50
 
-    def test_align_batch_matches_hand_built_triples(self):
+    def test_align_batch_matches_hand_built_pairs(self):
         rng = np.random.default_rng(24)
         for shapes in lockstep_batches(rng, 300):
             params, batch = relevance_batch(rng, shapes)
             for windowed in (False, True):
-                triples = [(project_video(params.t_v, video),
-                            project_sentence(params.t_s, sentence),
-                            band(video, sentence, windowed))
+                latents = [(project_video(params.t_v, video),
+                            project_sentence(params.t_s, sentence))
                            for video, sentence in batch]
+                pairs = [(pair_distances(v, s), band(video, sentence, windowed))
+                         for (v, s), (video, sentence) in zip(latents, batch)]
                 got = align_batch(params, batch, windowed)
                 assert len(got) == len(batch)
-                for table, want, one in zip(got, dtw_batch(triples), triples):
-                    alone = dtw(*one)
+                for table, want, (v, s), (_, policy) in zip(
+                        got, dtw_batch(pairs), latents, pairs):
+                    alone = dtw(v, s, policy)
                     for other in (want, alone):
                         assert table.costs.tobytes() == other.costs.tobytes()
                         assert table.dist.tobytes() == other.dist.tobytes()
+
+    def test_align_batch_shares_one_table_per_video(self):
+        # the same video objects repeat, and words repeat within and across
+        # their sentences: each table is still the one its pair gets alone
+        rng = np.random.default_rng(26)
+        params = LatentSpaceParams(rng.normal(size=(3, 4)),
+                                   rng.normal(size=(3, 7)))
+        long, short = (ClipFeatureSequence(rng.normal(size=(n, 4)))
+                       for n in (9, 4))
+        batch = [(long, Sentence(tokens)) for tokens in
+                 ((2, 3, 2), (4,), (3, 3, 3, 3), (6, 5, 4, 3, 2, 6), (2, 3, 2))]
+        batch.insert(2, (short, Sentence((5, 2, 5))))
+        batch.append((short, Sentence((2, 2))))
+        for windowed in (False, True):
+            got = align_batch(params, batch, windowed)
+            assert len(got) == len(batch)
+            for table, (video, sentence) in zip(got, batch):
+                want = dtw(project_video(params.t_v, video),
+                           project_sentence(params.t_s, sentence),
+                           band(video, sentence, windowed))
+                assert table.costs.tobytes() == want.costs.tobytes()
+                assert table.dist.tobytes() == want.dist.tobytes()
+            with pytest.raises(ValueError, match="^word index 7 does not fit"):
+                align_batch(params, batch + [(long, Sentence((2, 7)))],
+                            windowed)
 
     def test_batch_rejects_an_infeasible_pair(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -382,11 +409,12 @@ class TestDtw:
              "feasible region admits no monotone path"),
         ]
         for (bad_v, bad_s), policy, message in cases:
-            for triples in ([(bad_v, bad_s, policy)],
-                            [(v, s, None), (bad_v, bad_s, policy),
-                             (v, s, window_policy(6, 3))]):
+            dist, bad = pair_distances(v, s), pair_distances(bad_v, bad_s)
+            for pairs in ([(bad, policy)],
+                          [(dist, None), (bad, policy),
+                           (dist, window_policy(6, 3))]):
                 with pytest.raises(AlignmentError, match=f"^{message}$"):
-                    dtw_batch(triples)
+                    dtw_batch(pairs)
             if message == "empty sequence":
                 continue  # the corpus types refuse empty videos and sentences
             params = LatentSpaceParams(np.eye(2), rng.normal(size=(2, 5)))
@@ -466,6 +494,35 @@ class TestBacktrack:
             self.assert_valid_path(path, n, m)
             cost = sum(table.dist[i, j] for i, j in path.pairs)
             assert cost == pytest.approx(table.total, abs=1e-9)
+
+    def test_matches_scalar_walk(self):
+        # the walk as first written, one numpy scalar comparison per clip;
+        # grid cases tie exactly, and a tie must go to the diagonal
+        def scalar_walk(costs):
+            n, m = costs.shape
+            words, j, ties = [0] * n, m - 1, 0
+            for i in range(n - 1, 0, -1):
+                words[i] = j
+                if j > 0:
+                    ties += bool(costs[i - 1, j - 1] == costs[i - 1, j])
+                    if costs[i - 1, j - 1] <= costs[i - 1, j]:
+                        j -= 1
+            words[0] = j
+            return words, ties
+
+        rng = np.random.default_rng(28)
+        tied = 0
+        for n, m in relevance_shapes(rng, 600):
+            params, video, sentence = relevance_case(rng, n, m)
+            v = project_video(params.t_v, video)
+            s = project_sentence(params.t_s, sentence)
+            for policy in (None, window_policy(n, m)):
+                table = dtw(v, s, policy)
+                words, ties = scalar_walk(table.costs)
+                path = backtrack(table).words
+                assert path.dtype == np.intp and path.tolist() == words
+                tied += ties
+        assert tied > 50
 
     def test_path_statistics_match_pair_loops(self):
         rng = np.random.default_rng(18)
@@ -625,6 +682,31 @@ class TestRelevance:
             assert np.flatnonzero(g_ts.any(axis=0)).tolist() == [3]
             for oracle in (instance_relevance_grad, loop_relevance_grad):
                 assert_matches_instance_sum(params, batch, windowed, oracle)
+
+    def test_word_gradient_is_the_clip_order_loop(self):
+        # g_ts from zero, each kept path cell's unit subtracted in batch and
+        # clip order: the same bytes, signed zeros included, where tokens
+        # repeat and grid batches give units with exact-zero components
+        rng = np.random.default_rng(27)
+        zeros = 0
+        for shapes in lockstep_batches(rng, 200):
+            params, batch = relevance_batch(rng, shapes)
+            for windowed in (False, True):
+                want = np.zeros_like(params.t_s)
+                for video, sentence in batch:
+                    v_lat = project_video(params.t_v, video)
+                    table = dtw(v_lat, project_sentence(params.t_s, sentence),
+                                band(video, sentence, windowed))
+                    for i, j in backtrack(table).pairs:
+                        d = table.dist[i, j]
+                        if d >= DEGENERATE_DISTANCE:
+                            token = sentence.tokens[j]
+                            unit = (v_lat[i] - params.t_s[:, token]) / d
+                            want[:, token] -= unit
+                            zeros += (unit == 0.0).sum()
+                _, _, g_ts = relevance_grad(params, batch, windowed)
+                assert g_ts.tobytes() == want.tobytes()
+        assert zeros > 100
 
     def test_finite_differences(self):
         rng = np.random.default_rng(16)
