@@ -3,12 +3,12 @@
 On-disk formats:
   * feature file: binary, little-endian; magic ``LSHF``, u32 version=1,
     u32 clip count n, u32 feature dim, then n*dim float32 values row-major.
-  * annotation file: UTF-8 text, one sentence per line, space-separated tokens;
-    blank lines may only trail the last sentence.
+  * annotation file: UTF-8 text, one sentence per line, space-separated tokens.
   * manifest: JSON with keys "features" (list of paths), "annotations" (path),
     "split" ("train" | "validation" | "test"). Paths are relative to the
     manifest's directory.
-  * vocabulary file: UTF-8 text, one token per line, line number = index.
+  * vocabulary file: UTF-8 text, one token per line and no whitespace in a
+    line, line number = index. Blank lines may only end a text file.
 
 Features are stored as float32 on disk and promoted to float64 in memory, so a
 generate -> save -> load round trip is element-wise exact.
@@ -231,15 +231,15 @@ def read_text(path: Path, what: str,
 
 
 def text_lines(text: str) -> list[str]:
-    """The lines of ``text`` as editors number them: split at line feeds
-    alone, a final line feed ending the last line, and one carriage return
-    dropped from each line's end. ``str.splitlines`` would also split at lone
-    carriage returns, form feeds and other separators that may sit inside a
-    line."""
-    lines = text.split("\n")
-    if lines[-1] == "":
+    """The lines of ``text`` as editors number them, through the last that
+    holds more than whitespace: split at line feeds alone, one carriage
+    return dropped from each line's end. ``str.splitlines`` would also split
+    at lone carriage returns, form feeds and other separators that may sit
+    inside a line."""
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    while lines and not lines[-1].strip():
         lines.pop()
-    return [line.removesuffix("\r") for line in lines]
+    return lines
 
 
 def write_csv(path: Path | str, header: list[str], rows) -> None:
@@ -283,8 +283,13 @@ def write_vocabulary(path: Path | str, vocab: Vocabulary) -> None:
 
 
 def read_vocabulary(path: Path | str) -> Vocabulary:
-    text = read_text(Path(path), "vocabulary file")
-    return Vocabulary(tuple(text_lines(text)))
+    words = text_lines(read_text(Path(path), "vocabulary file"))
+    for number, word in enumerate(words, start=1):
+        if word.split() != [word]:
+            raise CorpusError(f"{path}: line {number} " + (
+                "holds whitespace; a line is one token" if word.strip()
+                else "is blank; only trailing lines may be"))
+    return Vocabulary(tuple(words))
 
 
 def save_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
@@ -332,8 +337,6 @@ def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
     annotation_path = base / annotations
     token_lists = [line.split() for line in
                    text_lines(read_text(annotation_path, "annotation file"))]
-    while token_lists and not token_lists[-1]:   # trailing blank lines
-        token_lists.pop()
     if [] in token_lists:
         raise CorpusError(f"{annotation_path}: line {token_lists.index([]) + 1}"
                           " is blank; only trailing lines may be")

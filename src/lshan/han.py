@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, ClipFeatureSequence, Sentence, read_bytes
-from .latent_space import LatentSpaceParams, project_video
+from .latent_space import LatentSpaceParams, project_video, word_sums
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +445,7 @@ def coherence_grad(han: Parameters, ls: LatentSpaceParams, batch,
     dxs, dh0, dc0 = _lstm_backward(han.group("decoder"), dec_cache,
                                    pad.stack(dlogits @ han["emit_w"]),
                                    out.group("decoder"))
-    # bincount adds each word's input gradients in step order from 0.0, as
-    # np.add.at into the zero-filled t_s would, to the bit
-    d, vocab = out["t_s"].shape
-    out["t_s"] += np.bincount((inputs[:, None] * d + np.arange(d)).ravel(),
-                              dxs[pad.at].ravel(), vocab * d).reshape(vocab, d).T
+    out["t_s"] += word_sums(inputs, dxs[pad.at], out["t_s"].shape)
     dlatent = _encode_backward(han, enc, dh0, dc0, out)
     out["t_v"] += dlatent.T @ np.concatenate([v.clips for v, _ in batch])
     return losses.tolist(), out

@@ -258,11 +258,16 @@ def relevance_grad(ls: LatentSpaceParams, batch, windowed: bool
                              for (_, sentence), words in zip(batch, paths)])[keep]
     v_lat = np.concatenate(v_latents)[keep]
     unit = (v_lat - ls.t_s.T[tokens]) / dist[keep, None]
-    # bincount adds each word's units in clip order from 0.0, so 0.0 - sums
-    # is what subtracting them one by one gives, to the bit
-    d, vocab = ls.t_s.shape
-    g_ts = (0.0 - np.bincount((tokens[:, None] * d + np.arange(d)).ravel(),
-                              unit.ravel(), vocab * d)).reshape(vocab, d).T
+    g_ts = 0.0 - word_sums(tokens, unit, ls.t_s.shape)
     clips = np.concatenate([video.clips for video, _ in batch])[keep]
     return [table.total for table in tables], unit.T @ clips, g_ts
 
+
+def word_sums(tokens: np.ndarray, rows: np.ndarray, shape) -> np.ndarray:
+    """Sums of ``rows`` by word as a ``shape`` = (d, vocab) array: column w
+    adds the rows whose token is w. ``np.bincount`` adds each bin in row order
+    from 0.0, so ``0.0 - sums`` and a zero array ``+= sums`` are, signed zeros
+    included, ``np.subtract.at`` and ``np.add.at`` of the rows, to the bit."""
+    d, vocab = shape
+    return np.bincount((tokens[:, None] * d + np.arange(d)).ravel(), rows.ravel(),
+                       vocab * d).reshape(vocab, d).T

@@ -146,6 +146,13 @@ class TestTrainEval:
         run("train", "--config", str(cfg), "--data", str(data_dir),
             "--out", str(m2))
         assert (m1 / "final.lshn").read_bytes() == (m2 / "final.lshn").read_bytes()
+        # a vocabulary that ends in blank lines has the same words
+        vocab = data_dir / "vocab.txt"
+        vocab.write_text(vocab.read_text() + "\n \n\t\r\n")
+        assert run("train", "--config", str(cfg), "--data", str(data_dir),
+                   "--out", str(tmp_path / "m3")) == 0
+        assert (tmp_path / "m3" / "final.lshn").read_bytes() \
+            == (m1 / "final.lshn").read_bytes()
 
     def test_train_independent_of_blas_threads(self, tmp_path):
         """A default-config training run writes the same checkpoint under
@@ -390,6 +397,12 @@ class TestExitCodes:
         ("sweep_empty_split", 2,
          "{data}/manifest_train.json: the manifest lists no instances"),
         ("sweep_out_a_directory", 1, "cannot write {data}: Is a directory"),
+        ("train_vocabulary_blank_line", 2, "{data}/vocab.txt: line 6 is "
+         "blank; only trailing lines may be"),
+        ("train_vocabulary_inner_space", 2, "{data}/vocab.txt: line 6 holds "
+         "whitespace; a line is one token"),
+        ("train_vocabulary_leading_space", 2, "{data}/vocab.txt: line 6 "
+         "holds whitespace; a line is one token"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, monkeypatch,
                                        case, code, message):
@@ -463,6 +476,12 @@ class TestExitCodes:
         elif case == "annotations_form_feed":   # one line, not two
             manifest["features"] = manifest["features"][:1] * 3
             (data / manifest["annotations"]).write_text("a\x0cb\nc\n")
+        elif case.startswith("train_vocabulary_"):   # line 6 is "w03"
+            line = {"blank_line": "\nw03", "inner_space": "w 03",
+                    "leading_space": " w03"}[case.removeprefix(
+                        "train_vocabulary_")]
+            path = data / "vocab.txt"
+            path.write_text(path.read_text().replace("w03", line))
         elif case.endswith("_empty_split"):   # every split lists no instances
             manifest["features"] = []
             for split in ("train", "validation"):
@@ -488,6 +507,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert err.startswith("data error: " if code == 2 else "usage error: ")
+        if command == "train" and code == 2:
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "probe", "align"])
     @pytest.mark.parametrize("d_w", [6, 12])

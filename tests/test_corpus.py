@@ -169,6 +169,44 @@ class TestFileFormats:
         for (va, _), (vb, _) in zip(crlf.instances, lf.instances):
             assert va.clips.tobytes() == vb.clips.tobytes()
 
+    @pytest.mark.parametrize("tail", ["\n", " \n", "\r\n", "\t\n", "\x0c\n",
+                                      "\n\n \n\r\n\t\n\x0c\n \t\r"])
+    def test_text_files_may_end_in_blank_lines(self, tmp_path, tail):
+        assert corpus.text_lines("a\n\n \nb\n" + tail) == ["a", "", " ", "b"]
+        assert corpus.text_lines(tail) == []
+        ds = generate_synthetic(SyntheticConfig(instance_count=4, seed=9))
+        loaded = []
+        for ending in ("", tail):
+            out = tmp_path / repr(ending)
+            manifest = save_dataset(ds, out)
+            write_vocabulary(out / "vocab.txt", ds.vocabulary)
+            for path in (out / "vocab.txt", out / "annotations_train.txt"):
+                path.write_text(path.read_text() + ending, newline="")
+            vocab = read_vocabulary(out / "vocab.txt")
+            loaded.append((vocab, load_dataset(manifest, vocab)))
+        (clean_vocab, clean), (tail_vocab, tailed) = loaded
+        assert tail_vocab == clean_vocab and tail_vocab.words == ds.vocabulary.words
+        assert [s for _, s in tailed.instances] == [s for _, s in clean.instances]
+
+    @pytest.mark.parametrize("line,rule", [
+        ("", "is blank; only trailing lines may be"),
+        (" \t", "is blank; only trailing lines may be"),
+        ("\x0c", "is blank; only trailing lines may be"),
+        ("w 03", "holds whitespace; a line is one token"),
+        (" w03", "holds whitespace; a line is one token"),
+        ("w03\t", "holds whitespace; a line is one token"),
+        ("w03\r\r", "holds whitespace; a line is one token"),
+        ("w\x0c03", "holds whitespace; a line is one token"),
+        ("w\u200303", "holds whitespace; a line is one token"),
+    ])
+    def test_vocabulary_line_is_one_token(self, tmp_path, line, rule):
+        # line 4 of 5, so that only the rule on each line can refuse it
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"#Start\n#End\nw02\n{line}\nw04\n", newline="")
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: "
+                           rf"line 4 {re.escape(rule)}$"):
+            read_vocabulary(path)
+
     def test_missing_feature_file(self, tmp_path):
         (tmp_path / "ann.txt").write_text("a\n")
         (tmp_path / "manifest.json").write_text(

@@ -708,6 +708,29 @@ class TestRelevance:
                 assert g_ts.tobytes() == want.tobytes()
         assert zeros > 100
 
+    def test_word_sums_are_the_ufunc_at_loops(self):
+        # both projection gradients sum through word_sums: 0.0 - sums is
+        # np.subtract.at and a zero array += sums is np.add.at, to the bit,
+        # where tokens repeat and rows hold +0.0, -0.0 and more than 8 rows
+        # of one word (numpy sums longer runs pairwise)
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            d, vocab = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            tokens = rng.integers(0, vocab, size=int(rng.integers(0, 40)))
+            rows = rng.normal(size=(tokens.size, d)) * 10.0 ** rng.integers(
+                -8, 9, size=(tokens.size, d))
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            rows[rng.random(rows.shape) < 0.2] = -0.0
+            subtracted, added = np.zeros((vocab, d)), np.zeros((vocab, d))
+            np.subtract.at(subtracted, tokens, rows)
+            np.add.at(added, tokens, rows)
+            sums = latent_space.word_sums(tokens, rows, (d, vocab))
+            assert sums.shape == (d, vocab)
+            assert (0.0 - sums).tobytes() == subtracted.T.tobytes()
+            out = np.zeros((d, vocab))
+            out += sums
+            assert out.tobytes() == added.T.tobytes()
+
     def test_finite_differences(self):
         rng = np.random.default_rng(16)
         eps = 1e-5
