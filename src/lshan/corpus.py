@@ -317,10 +317,11 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
 
 def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
     manifest_path = Path(manifest_path)
+    text = read_text(manifest_path, "manifest")   # names its own failure
     try:
-        manifest = json.loads(read_text(manifest_path, "manifest"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{manifest_path}: invalid JSON ({exc})") from None
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:   # any text json refuses
+        raise CorpusError(f"{manifest_path}: cannot parse JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise CorpusError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("features", "annotations", "split"):

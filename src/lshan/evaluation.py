@@ -227,25 +227,22 @@ class SweepRow:
 
 
 def lambda_sweep(train_ds: Dataset, val_ds: Dataset,
-                 cfg: trainer_mod.TrainingConfig,
-                 values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0)) -> list[SweepRow]:
+                 cfg: trainer_mod.TrainingConfig, values) -> list[SweepRow]:
     """Retrain per trade-off value with the identical seed; evaluate on validation.
 
-    Every value is range-checked before the first training. Training failures
-    are recorded on their row and the sweep continues.
+    Every value becomes a ``TrainingConfig`` before the first training, so
+    one outside [0, 1] raises its ``ConfigError`` before any run; ``lshan
+    sweep`` checks its ``--lambdas`` itself, before it opens ``--out``.
+    Training failures are recorded on their row and the sweep continues.
     """
-    for value in values:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"lambda1 value {value} outside [0, 1]")
     rows = []
-    for value in values:
-        run_cfg = replace(cfg, lambda1=float(value))
+    for run_cfg in [replace(cfg, lambda1=float(value)) for value in values]:
         try:
             state = trainer_mod.train(train_ds, run_cfg)
             report = evaluate(state.ls, state.han, val_ds, cfg.strategy)
-            rows.append(SweepRow(float(value), report.mean_accuracy))
+            rows.append(SweepRow(run_cfg.lambda1, report.mean_accuracy))
         except trainer_mod.TrainingDiverged as exc:
-            rows.append(SweepRow(float(value), float("nan"), str(exc)))
+            rows.append(SweepRow(run_cfg.lambda1, float("nan"), str(exc)))
     return rows
 
 

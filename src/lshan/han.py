@@ -494,10 +494,10 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     the one the search would return at max_len. On a tie the live
     hypothesis could hold the smaller token tuple, so the search goes on.
 
-    Each step is one ``_decode_step`` over the live hypotheses: their states
-    as one (L, q) stack, or as a single (q,) state while only one is live,
-    as for k=1 and the first step of every beam, where a stack's per-call
-    overhead would outweigh it.
+    Each step is one ``_decode_step`` over the live hypotheses, in one state
+    shape per search, chosen by k: k=1 (greedy decoding) steps a single (q,)
+    state; a beam of k >= 2 steps an (L, q) stack of its L live states, from
+    its first step, where L = 1, to its last.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -507,12 +507,12 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     w, _, b = han.group("decoder")
     word_zx = ls.t_s.T @ w.T + b   # the decoder's input GEMM, word by word
     # the live hypotheses, all one length and sorted by tokens, and their
-    # scores and states: one score and state while one is live, else an
-    # (L, 1) column of scores and (L, q) states, row by row
+    # scores and states: for k=1 one score and state, for a beam an (L, 1)
+    # column of scores and (L, q) states, row by row
     live: list[tuple[int, ...]] = [()]
-    scores = 0.0
-    h, c = enc.h0[0], enc.c0[0]
-    zx = word_zx[START_INDEX]
+    scores, h, c, zx = np.zeros((1, 1)), enc.h0, enc.c0, word_zx[[START_INDEX]]
+    if k == 1:   # greedy steps the one row as a vector
+        scores, h, c, zx = 0.0, h[0], c[0], zx[0]
     finished: list[tuple[tuple[int, ...], float]] = []
     n_words = ls.t_s.shape[1]
     for _ in range(max_len):
@@ -539,15 +539,13 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
         live = extended
         if not live:
             break
-        if len(live) == 1:
+        if k == 1:
             scores, zx = cand[kept[0]], word_zx[live[0][-1]]
-            if h.ndim == 2:
-                h, c = h[kept[0] // n_words], c[kept[0] // n_words]
         else:
             scores, zx = cand[kept][:, None], word_zx[[t[-1] for t in live]]
             parents = [i // n_words for i in kept]
-            if h.ndim == 1 or parents != list(range(len(h))):
-                h, c = np.atleast_2d(h)[parents], np.atleast_2d(c)[parents]
+            if parents != list(range(len(h))):
+                h, c = h[parents], c[parents]
     finished.extend(zip(live, np.ravel(scores).tolist()))
     finished.sort(key=lambda f: (-f[1], f[0]))
     return finished[:k]

@@ -388,6 +388,10 @@ class TestExitCodes:
          "files but 2 annotated sentences"),
         ("train_empty_split", 2,
          "{data}/manifest_train.json: the manifest lists no instances"),
+        ("train_manifest_deeply_nested", 2, "{data}/manifest_train.json: "
+         "cannot parse JSON (maximum recursion depth exceeded"),
+        ("train_manifest_5000_digit_integer", 2, "{data}/manifest_train.json: "
+         "cannot parse JSON (Exceeds the limit (4300 digits)"),
         ("eval_empty_split", 2,
          "{data}/manifest_test.json: the manifest lists no instances"),
         ("probe_empty_split", 2,
@@ -482,6 +486,9 @@ class TestExitCodes:
                         "train_vocabulary_")]
             path = data / "vocab.txt"
             path.write_text(path.read_text().replace("w03", line))
+        elif case.startswith("train_manifest_"):   # text json.loads refuses
+            (data / "manifest_train.json").write_text(
+                "[" * 100_000 if case.endswith("_nested") else "9" * 5000)
         elif case.endswith("_empty_split"):   # every split lists no instances
             manifest["features"] = []
             for split in ("train", "validation"):
@@ -603,7 +610,8 @@ class TestExitCodes:
         # the refused command writes nothing
         output = {"synth": tmp_path / "data", "train": tmp_path / "m",
                   "probe": tmp_path / "probe.csv",
-                  "eval": tmp_path / "eval.csv"}.get(argv[0])
+                  "eval": tmp_path / "eval.csv",
+                  "sweep": tmp_path / "sweep.csv"}.get(argv[0])
         capsys.readouterr()
         assert run(*argv) == code
         err = capsys.readouterr().err

@@ -702,6 +702,61 @@ class TestStackedBeam:
         assert (regrown > 0) == (k > 1)
 
 
+def decode_step_inputs(monkeypatch):
+    """A list of (zx.ndim, live states) that grows by one entry per
+    ``_decode_step`` call."""
+    inputs = []
+    step = han_mod._decode_step
+
+    def recorded(han, zx, state):
+        inputs.append((zx.ndim, len(state[0]) if state[0].ndim == 2 else 1))
+        return step(han, zx, state)
+
+    monkeypatch.setattr(han_mod, "_decode_step", recorded)
+    return inputs
+
+
+class TestStateShape:
+    """One state shape per search, chosen by k: greedy decoding steps one
+    (q,) vector, a beam of k >= 2 an (L, q) stack from first step to last."""
+
+    def test_greedy_steps_one_vector(self, monkeypatch):
+        inputs = decode_step_inputs(monkeypatch)
+        for name, ls, han, video in beam_models():
+            inputs.clear()
+            greedy_decode(han, ls, video)
+            kbest_decode(han, ls, video, k=1)
+            assert inputs and {ndim for ndim, _ in inputs} == {1}, name
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_beam_steps_one_stack(self, k, monkeypatch):
+        inputs = decode_step_inputs(monkeypatch)
+        for name, ls, han, video in beam_models():
+            inputs.clear()
+            kbest_decode(han, ls, video, k=k)
+            assert inputs[0] == (2, 1), name   # a stack of one at the start
+            assert {ndim for ndim, _ in inputs} == {2}, name
+
+    # tiny_model seeds as drawn whose k-beam narrows to one live hypothesis
+    # after its first step and grows again
+    @pytest.mark.parametrize("seed,k", [(13, 2), (58, 3)])
+    def test_a_beam_narrowed_to_one_stays_a_stack(self, seed, k,
+                                                  monkeypatch):
+        ls, han = tiny_model(seed)
+        video, _ = tiny_instance(seed)
+        args = (han, ls, video, han_mod.DEFAULT_STRATEGY, k,
+                han_mod.MAX_DECODE_LEN)
+        want = oracle.kbest_decode(*args)
+        inputs = decode_step_inputs(monkeypatch)
+        got = kbest_decode(*args)
+        widths = "".join(str(width) for _, width in inputs)
+        assert re.search(r"[2-9]1+[2-9]", widths), widths
+        assert {ndim for ndim, _ in inputs} == {2}
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+
 def tie_at_second_step(seed):
     """A tiny model whose decoder runs the same states from any input, every
     gate exactly 1 and c_t = t - 1, so h_1 = 0 exactly. #End and word 2
