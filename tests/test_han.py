@@ -702,26 +702,12 @@ class TestStackedBeam:
         assert (regrown > 0) == (k > 1)
 
 
-def decode_step_inputs(monkeypatch):
-    """A list of (zx.ndim, live states) that grows by one entry per
-    ``_decode_step`` call."""
-    inputs = []
-    step = han_mod._decode_step
-
-    def recorded(han, zx, state):
-        inputs.append((zx.ndim, len(state[0]) if state[0].ndim == 2 else 1))
-        return step(han, zx, state)
-
-    monkeypatch.setattr(han_mod, "_decode_step", recorded)
-    return inputs
-
-
 class TestStateShape:
     """One state shape per search, chosen by k: greedy decoding steps one
     (q,) vector, a beam of k >= 2 an (L, q) stack from first step to last."""
 
     def test_greedy_steps_one_vector(self, monkeypatch):
-        inputs = decode_step_inputs(monkeypatch)
+        inputs = decode_step_calls(monkeypatch)
         for name, ls, han, video in beam_models():
             inputs.clear()
             greedy_decode(han, ls, video)
@@ -730,7 +716,7 @@ class TestStateShape:
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_beam_steps_one_stack(self, k, monkeypatch):
-        inputs = decode_step_inputs(monkeypatch)
+        inputs = decode_step_calls(monkeypatch)
         for name, ls, han, video in beam_models():
             inputs.clear()
             kbest_decode(han, ls, video, k=k)
@@ -747,7 +733,7 @@ class TestStateShape:
         args = (han, ls, video, han_mod.DEFAULT_STRATEGY, k,
                 han_mod.MAX_DECODE_LEN)
         want = oracle.kbest_decode(*args)
-        inputs = decode_step_inputs(monkeypatch)
+        inputs = decode_step_calls(monkeypatch)
         got = kbest_decode(*args)
         widths = "".join(str(width) for _, width in inputs)
         assert re.search(r"[2-9]1+[2-9]", widths), widths
@@ -774,13 +760,14 @@ def tie_at_second_step(seed):
 
 
 def decode_step_calls(monkeypatch):
-    """A list that grows by one entry per ``_decode_step`` call."""
+    """A list that grows by one entry per ``_decode_step`` call: the
+    ``zx.ndim`` of its inputs and the number of states it steps."""
     calls = []
     step = han_mod._decode_step
 
-    def counted(*args):
-        calls.append(1)
-        return step(*args)
+    def counted(han, zx, state):
+        calls.append((zx.ndim, len(state[0]) if state[0].ndim == 2 else 1))
+        return step(han, zx, state)
 
     monkeypatch.setattr(han_mod, "_decode_step", counted)
     return calls
