@@ -195,10 +195,16 @@ def _cmd_sweep(args) -> int:
     data_dir = Path(args.data)
     train_ds = _load_split(data_dir, "train")
     val_ds = _load_split(data_dir, "validation")
-    values = [float(v) for v in args.lambdas.split(",")]
-    for value in values:   # checked before --out is opened
+    values = []
+    for item in args.lambdas.split(","):   # checked before --out is opened
+        try:
+            value = float(item)
+        except ValueError:
+            raise ValueError(f"--lambdas item {item!r} is not a number") \
+                from None
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"lambda1 value {value} outside [0, 1]")
+        values.append(value)
     out = Path(args.out)
     out.open("a").close()   # an unusable --out fails before the trainings
     rows = eval_mod.lambda_sweep(train_ds, val_ds, cfg, values)

@@ -272,10 +272,10 @@ def read_features(path: Path | str) -> ClipFeatureSequence:
     if len(data) != expected:
         raise CorpusError(f"{path}: expected {expected} bytes, found {len(data)}")
     clips = np.frombuffer(data, dtype="<f4", offset=16).reshape(n, dim)
-    clips = clips.astype(np.float64)
+    # checked before the cast, which warns on a signaling NaN
     if not np.all(np.isfinite(clips)):
         raise CorpusError(f"{path}: non-finite feature values")
-    return ClipFeatureSequence(clips)
+    return ClipFeatureSequence(clips.astype(np.float64))
 
 
 def write_vocabulary(path: Path | str, vocab: Vocabulary) -> None:

@@ -5,6 +5,7 @@ The experiment gates share a single trained model (session-scoped fixtures),
 so the whole module is a complete scaled-down experimental run.
 """
 
+import csv
 import dataclasses
 import itertools
 import shutil
@@ -243,22 +244,18 @@ def test_lambda_sweep(splits, workdir):
     grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     cfg = dataclasses.replace(trainer.TrainingConfig(seed=0), epochs=150,
                               decay_interval=75)
+    # gate 9 checks that a sweep reruns bit for bit
     rows = eval_mod.lambda_sweep(splits["train"], splits["validation"],
                                  cfg, grid)
-    rows2 = eval_mod.lambda_sweep(splits["train"], splits["validation"],
-                                  cfg, grid)
     csv_path = workdir / "sweep.csv"
     eval_mod.write_sweep_csv(rows, csv_path)
-    deterministic = [(r.lambda1, r.val_accuracy) for r in rows] \
-        == [(r.lambda1, r.val_accuracy) for r in rows2]
     six_rows = len(csv_path.read_text().strip().split("\n")) == 7
     interior = max(r.val_accuracy for r in rows[1:-1])
     endpoints = (rows[0].val_accuracy, rows[-1].val_accuracy)
     ordered = interior >= endpoints[0] and interior >= endpoints[1]
-    ok = deterministic and six_rows and ordered
+    ok = six_rows and ordered
     report("lambda-sweep", ok,
-           f"deterministic={deterministic}, 6-row CSV={six_rows}, "
-           f"best interior={interior:.3f} vs endpoints "
+           f"6-row CSV={six_rows}, best interior={interior:.3f} vs endpoints "
            f"({endpoints[0]:.3f}, {endpoints[1]:.3f}), "
            "endpoint degradation "
            f"({interior - endpoints[0]:+.3f}, {interior - endpoints[1]:+.3f})")
@@ -295,6 +292,9 @@ def _tree_bytes(root: Path):
 
 
 def test_determinism(workdir):
+    """Every output of synth, train and a sweep over the HAN-only, joint and
+    DTW-only branches repeats bit for bit, the loss log too (all but its
+    wall-clock column); the training run passes one learning-rate decay."""
     base = workdir / "determinism"
     synth_args = ["synth", "--out", str(base / "data"), "--seed", "11",
                   "--instances", "6", "--val-instances", "3",
@@ -303,12 +303,12 @@ def test_determinism(workdir):
                   "--sentence-len-max", "3"]
     cfg_path = base / "tiny.cfg"
     base.mkdir(parents=True, exist_ok=True)
-    cfg_path.write_text("seed = 0\nepochs = 3\nhidden_size = 6\n"
-                        "attention_size = 4\nlatent_dim = 4\n")
+    cfg_path.write_text("seed = 0\nepochs = 3\ndecay_interval = 2\n"
+                        "hidden_size = 6\nattention_size = 4\nlatent_dim = 4\n")
     train_args = ["train", "--config", str(cfg_path),
                   "--data", str(base / "data"), "--out", str(base / "model")]
     sweep_args = ["sweep", "--config", str(cfg_path),
-                  "--data", str(base / "data"), "--lambdas", "0.0,0.6",
+                  "--data", str(base / "data"), "--lambdas", "0.0,0.6,1.0",
                   "--out", str(base / "sweep.csv")]
     snapshots = []
     for _ in range(2):
@@ -320,16 +320,14 @@ def test_determinism(workdir):
         assert cli.run(synth_args) == 0
         assert cli.run(train_args) == 0
         assert cli.run(sweep_args) == 0
-        snap = {**_tree_bytes(base / "data"), **_tree_bytes(base / "model"),
-                "sweep.csv": (base / "sweep.csv").read_bytes()}
-        # the training log records wall-clock times; drop it from the
-        # comparison, every persisted artifact must be identical
-        snap.pop(Path("training_log.csv"), None)
-        snap = {k: v for k, v in snap.items()
-                if Path(str(k)).name != "training_log.csv"}
-        snapshots.append(snap)
+        files = {**_tree_bytes(base / "data"), **_tree_bytes(base / "model"),
+                 "sweep.csv": (base / "sweep.csv").read_bytes()}
+        log = files.pop(Path("training_log.csv")).decode().splitlines()
+        losses = [{key: value for key, value in row.items()
+                   if key != "wall_seconds"} for row in csv.DictReader(log)]
+        snapshots.append((files, losses))
     identical = snapshots[0] == snapshots[1]
     report("determinism", identical,
-           f"synth+train+sweep repeated: {len(snapshots[0])} files "
+           f"synth+train+sweep repeated: {len(snapshots[0][0])} files "
            + ("bit-identical" if identical else "DIFFER"))
     assert identical

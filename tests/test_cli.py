@@ -574,6 +574,12 @@ class TestExitCodes:
                      "must be positive", id="synth-all-0"),
         pytest.param(["sweep", "--lambdas", "0.5,2"], 1, "lambda1 value 2.0 "
                      "outside [0, 1]", id="lambdas-0.5,2"),
+        pytest.param(["sweep", "--lambdas", "0.5,x"], 1, "--lambdas item 'x' "
+                     "is not a number", id="lambdas-0.5,x"),
+        pytest.param(["sweep", "--lambdas", ""], 1, "--lambdas item '' is not "
+                     "a number", id="lambdas-empty"),
+        pytest.param(["sweep", "--lambdas", "0.5,nan"], 1, "lambda1 value nan "
+                     "outside [0, 1]", id="lambdas-0.5,nan"),
         *[pytest.param([command, "--seed", "-1"], 1, "argument --seed: must "
                        "be >= 0, got -1", id=f"{command}--seed--1")
           for command in ("synth", "gradcheck", "probe")],
@@ -645,6 +651,33 @@ class TestExitCodes:
         assert [row["epoch"] for row in rows] == ["0"]
         assert all(np.isfinite(float(value)) for value in rows[0].values())
         assert not (out / "final.lshn").exists()
+
+    def test_diverged_sweep_value_is_a_row(self, tmp_path, capsys,
+                                           monkeypatch):
+        data = tmp_path / "data"
+        run(*synth_args(data))
+        train = trainer.train
+
+        def diverge_at_half(dataset, cfg, out_dir=None):
+            if cfg.lambda1 == 0.5:
+                raise trainer.TrainingDiverged("loss became non-finite at "
+                                               "epoch 1")
+            return train(dataset, cfg, out_dir)
+
+        monkeypatch.setattr(trainer, "train", diverge_at_half)
+        capsys.readouterr()
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--config", str(write_config(tmp_path)),
+                   "--data", str(data), "--lambdas", "0.0,0.5,1.0",
+                   "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == ("lambda=0.50 val_accuracy=nan  "
+                              "[loss became non-finite at epoch 1]")
+        rows = out.read_text().splitlines()
+        assert rows[0] == "lambda,val_accuracy,val_error" and len(rows) == 4
+        assert rows[2] == "0.500,nan,nan"
+        for row in (rows[1], rows[3]):
+            assert all(np.isfinite(float(value)) for value in row.split(","))
 
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0

@@ -83,6 +83,16 @@ class TestFileFormats:
         with pytest.raises(CorpusError):
             read_features(tmp_path / "x.lshf")
 
+    def test_signaling_nan_features_rejected(self, tmp_path):
+        # a float32 signaling NaN, whose cast to float64 raises the invalid
+        # flag; a warning from lshan's code fails the suite
+        path = tmp_path / "x.lshf"
+        write_features(path, np.zeros((1, 2)))
+        path.write_bytes(path.read_bytes()[:16] + b"\x01\x00\x80\x7f"
+                         + b"\x00" * 4)
+        with pytest.raises(CorpusError, match="non-finite feature values"):
+            read_features(path)
+
     def test_dataset_roundtrip(self, tmp_path):
         ds = generate_synthetic(SyntheticConfig(instance_count=4, seed=9))
         manifest = save_dataset(ds, tmp_path)
