@@ -118,12 +118,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = trainer_mod.load_config(args.config)
-    data_dir = Path(args.data)
-    dataset = _load_split(data_dir, args.split)
+    dataset = _load_split(Path(args.data), "train")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.cfg").write_text(trainer_mod.format_config(cfg),
-                                    encoding="utf-8")
     _write_run_manifest(out, "train", {**vars(args), "seed": cfg.seed})
     trainer_mod.train(dataset, cfg, out_dir=out)
     return EXIT_OK
@@ -238,7 +234,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="train")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -307,8 +302,9 @@ def run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:   # inputs report their own, so this is an output
-        print(f"usage error: cannot write {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
+        # a rename's destination is its second path
+        print(f"usage error: cannot write {exc.filename2 or exc.filename}: "
+              f"{exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -43,8 +43,8 @@ class SegmentationStrategy:
     def __post_init__(self):
         if self.kind not in ("two-split", "pair-split", "even"):
             raise ValueError(f"unknown segmentation strategy {self.kind!r}")
-        if self.kind == "even" and self.k < 1:
-            raise ValueError("even-k needs k >= 1")
+        if self.kind == "even" and not 1 <= self.k < 2 ** 32:   # a u32 on disk
+            raise ValueError("even-k needs 1 <= k < 2**32")
 
     def __str__(self) -> str:
         return f"even-{self.k}" if self.kind == "even" else self.kind

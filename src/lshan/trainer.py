@@ -32,11 +32,6 @@ class ConfigError(ValueError):
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or parameter becomes non-finite during training."""
 
-    def __init__(self, message: str, last_checkpoint: Path | None = None):
-        if last_checkpoint is not None:
-            message += f"; last checkpoint {last_checkpoint}"
-        super().__init__(message)
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -250,19 +245,12 @@ def init_state(cfg: TrainingConfig, d_c: int, d_w: int) -> TrainState:
     return TrainState(ls, han, rng)
 
 
-def _write_log(out_dir: Path, history: list[EpochStats]) -> None:
-    write_csv(out_dir / "training_log.csv",
-              ["epoch", "rel_loss", "coh_loss", "reg", "total", "wall_seconds"],
-              ([epoch, e.relevance, e.coherence, e.regularizer, e.total,
-                e.wall_seconds] for epoch, e in enumerate(history)))
-
-
 def train(dataset: Dataset, cfg: TrainingConfig,
           out_dir: Path | str | None = None) -> TrainState:
-    """Seeded SGD over shuffled batches. With ``out_dir``, it writes the
-    checkpoints, ``final.lshn`` and the loss log ``training_log.csv`` there;
-    a run that diverges writes the log of its completed epochs and no
-    ``final.lshn``.
+    """Seeded SGD over shuffled batches. With ``out_dir``, it makes that
+    directory and writes ``config.cfg``, the checkpoints, ``final.lshn`` and
+    the loss log ``training_log.csv`` there. The log holds every completed
+    epoch however the run ends; a run that diverges writes no ``final.lshn``.
 
     An epoch's ``rel_loss``/``coh_loss`` average each instance's loss from the
     pass that made its gradient, before its batch's step; ``reg`` is taken at
@@ -274,6 +262,8 @@ def train(dataset: Dataset, cfg: TrainingConfig,
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.cfg").write_text(format_config(cfg),
+                                            encoding="utf-8")
     last_checkpoint: Path | None = None
     grads = Parameters(state.han.layout)   # every step's gradient
 
@@ -303,13 +293,21 @@ def train(dataset: Dataset, cfg: TrainingConfig,
                     and (epoch + 1) % cfg.checkpoint_every == 0:
                 last_checkpoint = out_dir / f"checkpoint_{epoch + 1:04d}.lshn"
                 save_checkpoint(last_checkpoint, state.han, cfg.strategy)
-    except TrainingDiverged as exc:
         if out_dir is not None:
-            _write_log(out_dir, state.history)
-        raise TrainingDiverged(str(exc), last_checkpoint) from None
-    if out_dir is not None:
-        save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
-        _write_log(out_dir, state.history)
+            save_checkpoint(out_dir / "final.lshn", state.han, cfg.strategy)
+    except TrainingDiverged as exc:
+        if last_checkpoint is None:
+            raise
+        raise TrainingDiverged(
+            f"{exc}; last checkpoint {last_checkpoint}") from None
+    finally:
+        if out_dir is not None:
+            write_csv(out_dir / "training_log.csv",
+                      ["epoch", "rel_loss", "coh_loss", "reg", "total",
+                       "wall_seconds"],
+                      ([epoch, e.relevance, e.coherence, e.regularizer,
+                        e.total, e.wall_seconds]
+                       for epoch, e in enumerate(state.history)))
     return state
 
 

@@ -292,42 +292,44 @@ def _tree_bytes(root: Path):
 
 
 def test_determinism(workdir):
-    """Every output of synth, train and a sweep over the HAN-only, joint and
-    DTW-only branches repeats bit for bit, the loss log too (all but its
-    wall-clock column); the training run passes one learning-rate decay."""
+    """Every output of synth, of two trainings and of a sweep over the
+    HAN-only, joint and DTW-only branches repeats bit for bit, the loss logs
+    too (all but their wall-clock column). The trainings pass one
+    learning-rate decay; one of them is DTW-only (lambda1 = 1), whose HAN
+    is never trained, so the sweep's validation accuracy alone would not
+    see a change in its latent space."""
     base = workdir / "determinism"
-    synth_args = ["synth", "--out", str(base / "data"), "--seed", "11",
-                  "--instances", "6", "--val-instances", "3",
-                  "--test-instances", "3", "--vocab-size", "6",
-                  "--feature-dim", "5", "--sentence-len-min", "2",
-                  "--sentence-len-max", "3"]
-    cfg_path = base / "tiny.cfg"
-    base.mkdir(parents=True, exist_ok=True)
-    cfg_path.write_text("seed = 0\nepochs = 3\ndecay_interval = 2\n"
-                        "hidden_size = 6\nattention_size = 4\nlatent_dim = 4\n")
-    train_args = ["train", "--config", str(cfg_path),
-                  "--data", str(base / "data"), "--out", str(base / "model")]
-    sweep_args = ["sweep", "--config", str(cfg_path),
-                  "--data", str(base / "data"), "--lambdas", "0.0,0.6,1.0",
-                  "--out", str(base / "sweep.csv")]
+    config = ("seed = 0\nepochs = 3\ndecay_interval = 2\n"
+              "hidden_size = 6\nattention_size = 4\nlatent_dim = 4\n")
+    models = {"model": config, "model_dtw": config + "lambda1 = 1\n"}
     snapshots = []
     for _ in range(2):
-        for d in (base / "data", base / "model"):
-            if d.exists():
-                shutil.rmtree(d)
-        if (base / "sweep.csv").exists():
-            (base / "sweep.csv").unlink()
-        assert cli.run(synth_args) == 0
-        assert cli.run(train_args) == 0
-        assert cli.run(sweep_args) == 0
-        files = {**_tree_bytes(base / "data"), **_tree_bytes(base / "model"),
-                 "sweep.csv": (base / "sweep.csv").read_bytes()}
-        log = files.pop(Path("training_log.csv")).decode().splitlines()
-        losses = [{key: value for key, value in row.items()
-                   if key != "wall_seconds"} for row in csv.DictReader(log)]
+        shutil.rmtree(base, ignore_errors=True)
+        base.mkdir(parents=True)
+        assert cli.run(["synth", "--out", str(base / "data"), "--seed", "11",
+                        "--instances", "6", "--val-instances", "3",
+                        "--test-instances", "3", "--vocab-size", "6",
+                        "--feature-dim", "5", "--sentence-len-min", "2",
+                        "--sentence-len-max", "3"]) == 0
+        for name, text in models.items():
+            (base / f"{name}.cfg").write_text(text)
+            assert cli.run(["train", "--config", str(base / f"{name}.cfg"),
+                            "--data", str(base / "data"),
+                            "--out", str(base / name)]) == 0
+        assert cli.run(["sweep", "--config", str(base / "model.cfg"),
+                        "--data", str(base / "data"),
+                        "--lambdas", "0.0,0.6,1.0",
+                        "--out", str(base / "sweep.csv")]) == 0
+        files = _tree_bytes(base)
+        losses = {}
+        for name in models:
+            log = files.pop(Path(name, "training_log.csv")).decode()
+            losses[name] = [{key: value for key, value in row.items()
+                             if key != "wall_seconds"}
+                            for row in csv.DictReader(log.splitlines())]
         snapshots.append((files, losses))
     identical = snapshots[0] == snapshots[1]
     report("determinism", identical,
-           f"synth+train+sweep repeated: {len(snapshots[0][0])} files "
+           f"synth+train x2+sweep repeated: {len(snapshots[0][0])} files "
            + ("bit-identical" if identical else "DIFFER"))
     assert identical

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lshan import cli
+from lshan import evaluation as eval_mod
 from lshan import han as han_mod
 from lshan import trainer
 from lshan.corpus import load_dataset, read_vocabulary
@@ -217,6 +218,57 @@ class TestTrainEval:
                    "--out", str(tmp_path / "probe.csv")) == 0
         assert re.fullmatch(r"mean_spearman \S+  videos=\d+ skipped=\d+ "
                             r"dtw=unwindowed\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    def test_strategy_flag(self, tmp_path, capsys, data_dir, command):
+        """``--strategy`` decodes under the strategy it names in place of the
+        checkpoint's (even-7), the manifest records it, and a bad one is
+        refused. The model trains until the strategies decode differently
+        and the probe ranks videos."""
+        model = tmp_path / "model"
+        config = write_config(tmp_path, "epochs = 60\nlatent_dim = 4\n"
+                              "hidden_size = 6\nattention_size = 4\n")
+        run("train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(model))
+        ls, han, _ = han_mod.load_checkpoint(model / "final.lshn")
+        dataset = load_dataset(data_dir / "manifest_train.json",
+                               read_vocabulary(data_dir / "vocab.txt"))
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def run_command(directory, *flags):
+            return run(command, "--model", str(model / "final.lshn"),
+                       "--data", str(data_dir), "--split", "train",
+                       "--out", str(directory / "got.csv"), *flags,
+                       *(["--k", "5", "--samples", "4"]
+                         if command == "probe" else []))
+
+        assert run_command(out) == 0
+        default = (out / "got.csv").read_bytes()
+        for name in ("two-split", "pair-split", "even-3"):
+            strategy = han_mod.parse_strategy(name)
+            if command == "eval":
+                report = eval_mod.evaluate(ls, han, dataset, strategy)
+            else:
+                report = eval_mod.consistency_probe(
+                    ls, han, dataset, k=5, sample_count=4, seed=0,
+                    strategy=strategy)
+                assert report.videos
+            report.write_csv(tmp_path / "expected.csv")
+            assert run_command(out, "--strategy", name) == 0
+            got = (out / "got.csv").read_bytes()
+            assert got == (tmp_path / "expected.csv").read_bytes()
+            assert got != default
+            manifest = json.loads((out / f"run_{command}.json").read_text())
+            assert manifest["args"]["strategy"] == name
+        refused = tmp_path / "refused"
+        refused.mkdir()
+        capsys.readouterr()
+        assert run_command(refused, "--strategy", "even-0") == 1
+        assert capsys.readouterr().err == (
+            "usage error: bad strategy 'even-0'; expected two-split, "
+            "pair-split, or even-<k>\n")
+        assert not any(refused.iterdir())
 
     def test_reruns_write_identical_bytes(self, tmp_path, capsys, data_dir):
         """``eval``, ``align`` and ``probe`` of one model write the same
@@ -588,6 +640,17 @@ class TestExitCodes:
         pytest.param(["train", "epochs = 2\nmax_decode_len = 30\n"], 2,
                      "line 2: unknown key 'max_decode_len'",
                      id="max_decode_len"),
+        # the checkpoint header stores even-k's k as a u32
+        pytest.param(["train", "epochs = 2\nstrategy = even-4294967296\n"],
+                     2, "line 2: bad value 'even-4294967296' for 'strategy'",
+                     id="strategy-even-4294967296"),
+        *[pytest.param([command, "--strategy", "even-4294967296"], 1,
+                       "bad strategy 'even-4294967296'",
+                       id=f"{command}-strategy-even-4294967296")
+          for command in ("eval", "probe")],
+        pytest.param(["train", "epochs = 2\n", "--split", "train"], 1,
+                     "unrecognized arguments: --split train",
+                     id="train-split"),
     ])
     def test_malformed_numeric_input(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):
@@ -605,7 +668,7 @@ class TestExitCodes:
             run(*synth_args(data))
             config = write_config(tmp_path, argv[1])
             argv = ["train", "--config", str(config), "--data", str(data),
-                    "--out", str(tmp_path / "m")]
+                    "--out", str(tmp_path / "m"), *argv[2:]]
         elif argv[0] in ("probe", "eval"):
             data = tmp_path / "data"
             run(*synth_args(data))
@@ -651,6 +714,26 @@ class TestExitCodes:
         assert [row["epoch"] for row in rows] == ["0"]
         assert all(np.isfinite(float(value)) for value in rows[0].values())
         assert not (out / "final.lshn").exists()
+
+    @pytest.mark.parametrize("blocked,epochs", [
+        ("checkpoint_0001.lshn", ["0"]), ("final.lshn", ["0", "1"])])
+    def test_unwritable_checkpoint_keeps_the_log(self, tmp_path, capsys,
+                                                 blocked, epochs):
+        """A checkpoint that cannot be written exits 1 naming it, not the
+        temporary file it was first written to, and the log keeps every
+        completed epoch."""
+        data = tmp_path / "data"
+        run(*synth_args(data))
+        config = write_config(tmp_path, TINY_CONFIG + "checkpoint_every = 1\n")
+        out = tmp_path / "m"
+        (out / blocked / "x").mkdir(parents=True)   # a non-empty directory
+        capsys.readouterr()
+        assert run("train", "--config", str(config), "--data", str(data),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: cannot write {out / blocked}: Is a directory\n")
+        with open(out / "training_log.csv", encoding="utf-8") as fh:
+            assert [row["epoch"] for row in csv.DictReader(fh)] == epochs
 
     def test_diverged_sweep_value_is_a_row(self, tmp_path, capsys,
                                            monkeypatch):

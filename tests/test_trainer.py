@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -328,6 +329,29 @@ class TestTrain:
         assert lines[0] == "epoch,rel_loss,coh_loss,reg,total,wall_seconds"
         assert len(lines) == 4
         assert (tmp_path / "final.lshn").exists()
+        assert load_config(tmp_path / "config.cfg") == cfg
+
+    def test_stopped_run_logs_its_completed_epochs(self, tmp_path,
+                                                    monkeypatch):
+        """An exception inside an epoch, an interrupt say, stops the run; the
+        log keeps the epochs before it, and no ``final.lshn`` is written."""
+        ds = tiny_dataset(1)
+        cfg = dataclasses.replace(TINY, epochs=4)
+        steps = -(-len(ds) // cfg.batch_size)   # per epoch
+        calls = []
+
+        def stop_in_epoch_2(*args):
+            calls.append(args)
+            if len(calls) > 2 * steps:
+                raise KeyboardInterrupt
+            return joint_grad(*args)
+
+        monkeypatch.setattr(trainer, "joint_grad", stop_in_epoch_2)
+        with pytest.raises(KeyboardInterrupt):
+            train(ds, cfg, out_dir=tmp_path)
+        with open(tmp_path / "training_log.csv", encoding="utf-8") as fh:
+            assert [row["epoch"] for row in csv.DictReader(fh)] == ["0", "1"]
+        assert not (tmp_path / "final.lshn").exists()
 
     def test_checkpoint_cadence(self, tmp_path):
         ds = tiny_dataset(2)
