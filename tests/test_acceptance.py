@@ -23,6 +23,7 @@ from lshan import latent_space as ls_mod
 from lshan import trainer
 from lshan.corpus import (ClipFeatureSequence, Sentence, load_dataset,
                           read_vocabulary)
+from reference import brute_edit_distance, brute_force_dtw
 
 
 _capture_manager = None
@@ -89,22 +90,6 @@ def trained(workdir, data_dir):
 # gate 1: alignment table vs brute-force path enumeration
 # ---------------------------------------------------------------------------
 
-def brute_force_dtw(dist):
-    """Minimum path cost by enumerating the clip indices where the word
-    advances; every monotone one-clip-per-step path has exactly m-1 of them."""
-    n, m = dist.shape
-    best = np.inf
-    for steps in itertools.combinations(range(1, n), m - 1):
-        total = dist[0, 0]
-        j = 0
-        for i in range(1, n):
-            if j < m - 1 and i == steps[j]:
-                j += 1
-            total += dist[i, j]
-        best = min(best, total)
-    return float(best)
-
-
 def test_dtw_oracle_equivalence():
     rng = np.random.default_rng(0)
     start = time.perf_counter()
@@ -166,15 +151,6 @@ def test_gradient_fidelity():
 # gate 3: edit-distance metric oracle
 # ---------------------------------------------------------------------------
 
-def brute_edit(a, b):
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    return min(brute_edit(a[1:], b[1:]) + (a[0] != b[0]),
-               brute_edit(a[1:], b) + 1, brute_edit(a, b[1:]) + 1)
-
-
 def test_metric_oracle():
     alphabet = (2, 3, 4)
     seqs = [tuple(s) for length in range(5)
@@ -184,7 +160,8 @@ def test_metric_oracle():
         if not ref:
             continue
         for hyp in seqs:
-            if eval_mod.edit_breakdown(hyp, ref).total != brute_edit(hyp, ref):
+            if (eval_mod.edit_breakdown(hyp, ref).total
+                    != brute_edit_distance(ref, hyp)):
                 mismatches += 1
     negative = eval_mod.edit_breakdown((4, 5), (2,)).accuracy
     ok = mismatches == 0 and negative == -1.0

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import math
 import os
 import re
 import struct
@@ -48,6 +49,15 @@ def write_config(tmp_path, text=TINY_CONFIG):
 
 def no_training(*args, **kwargs):
     pytest.fail("a training ran before the input was refused")
+
+
+def assert_probe_summary(stdout):
+    """``lshan probe``'s summary line names its DTW, and it ranked at least
+    one video to a finite mean."""
+    match = re.fullmatch(r"mean_spearman (\S+)  videos=(\d+) skipped=\d+ "
+                         r"dtw=unwindowed\n", stdout)
+    assert match
+    assert math.isfinite(float(match[1])) and int(match[2]) >= 1
 
 
 def dir_bytes(root):
@@ -118,6 +128,20 @@ class TestTrainEval:
         run(*synth_args(out))
         return out
 
+    @pytest.fixture(scope="class")
+    def shared(self, tmp_path_factory):
+        """One corpus and one model for the tests that only read them. The
+        model trains until the strategies decode differently and the probe
+        ranks a video at k = 5."""
+        root = tmp_path_factory.mktemp("shared")
+        data = root / "data"
+        assert run(*synth_args(data)) == 0
+        config = write_config(root, "epochs = 60\nlatent_dim = 4\n"
+                              "hidden_size = 6\nattention_size = 4\n")
+        assert run("train", "--config", str(config), "--data", str(data),
+                   "--out", str(root / "model")) == 0
+        return data, root / "model" / "final.lshn"
+
     def test_train_then_eval(self, tmp_path, capsys, data_dir):
         cfg = write_config(tmp_path)
         model_dir = tmp_path / "model"
@@ -180,15 +204,11 @@ class TestTrainEval:
             models.append((out / "final.lshn").read_bytes())
         assert models[0] == models[1]
 
-    def test_align_csv(self, tmp_path, data_dir):
-        cfg = write_config(tmp_path)
-        model_dir = tmp_path / "model"
-        run("train", "--config", str(cfg), "--data", str(data_dir),
-            "--out", str(model_dir))
+    def test_align_csv(self, tmp_path, shared):
+        data_dir, model = shared
         out = tmp_path / "align.csv"
-        assert run("align", "--model", str(model_dir / "final.lshn"),
-                   "--data", str(data_dir), "--windowed",
-                   "--out", str(out)) == 0
+        assert run("align", "--model", str(model), "--data", str(data_dir),
+                   "--windowed", "--out", str(out)) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "instance_id,clip_index,word_index"
         train = load_dataset(data_dir / "manifest_train.json",
@@ -196,48 +216,37 @@ class TestTrainEval:
         total_clips = sum(v.n for v, _ in train.instances)
         assert len(lines) - 1 == total_clips
 
-    def test_probe_csv(self, tmp_path, data_dir):
-        cfg = write_config(tmp_path)
-        model_dir = tmp_path / "model"
-        run("train", "--config", str(cfg), "--data", str(data_dir),
-            "--out", str(model_dir))
+    def test_probe_csv(self, tmp_path, shared):
+        data_dir, model = shared
         out = tmp_path / "probe.csv"
-        assert run("probe", "--model", str(model_dir / "final.lshn"),
-                   "--data", str(data_dir), "--k", "3", "--samples", "3",
-                   "--out", str(out)) == 0
-        assert out.read_text().startswith("video_id,rank,log_prob,dtw_distance")
+        assert run("probe", "--model", str(model), "--data", str(data_dir),
+                   "--k", "5", "--samples", "3", "--out", str(out)) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0].startswith("video_id,rank,log_prob,dtw_distance")
+        assert len(lines) >= 2
 
-    def test_probe_summary_names_its_dtw(self, tmp_path, capsys, data_dir):
-        cfg = write_config(tmp_path)
-        model_dir = tmp_path / "model"
-        run("train", "--config", str(cfg), "--data", str(data_dir),
-            "--out", str(model_dir))
+    def test_probe_summary_names_its_dtw(self, tmp_path, capsys, shared):
+        data_dir, model = shared
         capsys.readouterr()
-        assert run("probe", "--model", str(model_dir / "final.lshn"),
-                   "--data", str(data_dir), "--k", "3", "--samples", "3",
+        assert run("probe", "--model", str(model), "--data", str(data_dir),
+                   "--k", "5", "--samples", "3",
                    "--out", str(tmp_path / "probe.csv")) == 0
-        assert re.fullmatch(r"mean_spearman \S+  videos=\d+ skipped=\d+ "
-                            r"dtw=unwindowed\n", capsys.readouterr().out)
+        assert_probe_summary(capsys.readouterr().out)
 
     @pytest.mark.parametrize("command", ["eval", "probe"])
-    def test_strategy_flag(self, tmp_path, capsys, data_dir, command):
+    def test_strategy_flag(self, tmp_path, capsys, shared, command):
         """``--strategy`` decodes under the strategy it names in place of the
         checkpoint's (even-7), the manifest records it, and a bad one is
-        refused. The model trains until the strategies decode differently
-        and the probe ranks videos."""
-        model = tmp_path / "model"
-        config = write_config(tmp_path, "epochs = 60\nlatent_dim = 4\n"
-                              "hidden_size = 6\nattention_size = 4\n")
-        run("train", "--config", str(config), "--data", str(data_dir),
-            "--out", str(model))
-        ls, han, _ = han_mod.load_checkpoint(model / "final.lshn")
+        refused."""
+        data_dir, model = shared
+        ls, han, _ = han_mod.load_checkpoint(model)
         dataset = load_dataset(data_dir / "manifest_train.json",
                                read_vocabulary(data_dir / "vocab.txt"))
         out = tmp_path / "out"
         out.mkdir()
 
         def run_command(directory, *flags):
-            return run(command, "--model", str(model / "final.lshn"),
+            return run(command, "--model", str(model),
                        "--data", str(data_dir), "--split", "train",
                        "--out", str(directory / "got.csv"), *flags,
                        *(["--k", "5", "--samples", "4"]
@@ -270,29 +279,26 @@ class TestTrainEval:
             "pair-split, or even-<k>\n")
         assert not any(refused.iterdir())
 
-    def test_reruns_write_identical_bytes(self, tmp_path, capsys, data_dir):
+    def test_reruns_write_identical_bytes(self, tmp_path, capsys, shared):
         """``eval``, ``align`` and ``probe`` of one model write the same
         bytes when run again: their CSVs, their manifests and their stdout,
         less the decode wall time that ends ``eval``'s summary line."""
-        cfg = write_config(tmp_path)
-        model = tmp_path / "model"
-        run("train", "--config", str(cfg), "--data", str(data_dir),
-            "--out", str(model))
+        data_dir, model = shared
         out = tmp_path / "out"
         out.mkdir()
         commands = {
             "eval": ["--split", "train"],
             "align": [],
             "align-windowed": ["--windowed"],
-            "probe": ["--k", "3", "--samples", "4"],
+            "probe": ["--k", "5", "--samples", "4"],
         }
         runs = []
         for _ in range(2):
             outputs = {}
             for name, extra in commands.items():
                 capsys.readouterr()
-                assert run(name.split("-")[0], "--model",
-                           str(model / "final.lshn"), "--data", str(data_dir),
+                assert run(name.split("-")[0], "--model", str(model),
+                           "--data", str(data_dir),
                            "--out", str(out / f"{name}.csv"), *extra) == 0
                 outputs[name] = re.sub(r"  decode_seconds=[0-9.]+$", "",
                                        capsys.readouterr().out, flags=re.M)
@@ -301,6 +307,8 @@ class TestTrainEval:
         assert sorted(p.name for p in out.iterdir()) == [
             "align-windowed.csv", "align.csv", "eval.csv", "probe.csv",
             "run_align.json", "run_eval.json", "run_probe.json"]
+        assert_probe_summary(runs[0][0]["probe"])
+        assert len((out / "probe.csv").read_text().strip().split("\n")) >= 2
 
     def test_sweep_csv(self, tmp_path, data_dir):
         cfg = write_config(tmp_path)

@@ -9,25 +9,13 @@ from hypothesis import strategies as st
 from lshan import evaluation as ev
 from lshan import han as han_mod
 from lshan import trainer
-from lshan.corpus import (ClipFeatureSequence, Dataset, Sentence,
-                          SyntheticConfig, Vocabulary, generate_synthetic)
+from lshan.corpus import ClipFeatureSequence, Dataset, Sentence, Vocabulary
 from lshan.evaluation import (EditBreakdown, consistency_probe,
                               edit_breakdown, evaluate, lambda_sweep,
                               write_sweep_csv)
+from reference import brute_edit_distance, tiny_dataset
 
 A, B, X, Y = 2, 3, 4, 5
-
-
-def brute_edit_distance(ref, hyp):
-    """Recursive three-way edit distance, the slow-but-obvious oracle."""
-    if not ref:
-        return len(hyp)
-    if not hyp:
-        return len(ref)
-    sub = brute_edit_distance(ref[1:], hyp[1:]) + (ref[0] != hyp[0])
-    dele = brute_edit_distance(ref[1:], hyp) + 1
-    ins = brute_edit_distance(ref, hyp[1:]) + 1
-    return min(sub, dele, ins)
 
 
 class TestEditBreakdown:
@@ -85,13 +73,6 @@ class TestEditBreakdown:
     @settings(max_examples=60, deadline=None)
     def test_accuracy_upper_bound(self, ref, hyp):
         assert edit_breakdown(tuple(hyp), tuple(ref)).accuracy <= 1.0
-
-
-def tiny_dataset(n_instances=4, seed=0):
-    return generate_synthetic(
-        SyntheticConfig(vocab_size=6, feature_dim=5,
-                        sentence_length=(2, 3), instance_count=n_instances,
-                        seed=seed))
 
 
 def tiny_model(ds, seed=0, q=6):
@@ -162,7 +143,7 @@ class TestConsistencyProbe:
             consistency_probe(ls, han, ds, k=1)
 
     def test_correlations_in_range(self):
-        ds = tiny_dataset(6, seed=3)
+        ds = tiny_dataset(seed=3, count=6)
         ls, han = tiny_model(ds, seed=3)
         report = consistency_probe(ls, han, ds, k=3, sample_count=6, seed=0)
         for video in report.videos:
@@ -170,13 +151,13 @@ class TestConsistencyProbe:
         assert len(report.videos) + report.skipped <= 6
 
     def test_sample_accounting(self):
-        ds = tiny_dataset(8, seed=4)
+        ds = tiny_dataset(seed=4, count=8)
         ls, han = tiny_model(ds, seed=4)
         report = consistency_probe(ls, han, ds, k=3, sample_count=5, seed=1)
         assert len(report.videos) + report.skipped == 5
 
     def test_csv_columns(self, tmp_path):
-        ds = tiny_dataset(5, seed=5)
+        ds = tiny_dataset(seed=5, count=5)
         ls, han = tiny_model(ds, seed=5)
         report = consistency_probe(ls, han, ds, k=3, sample_count=4, seed=2)
         path = tmp_path / "probe.csv"
@@ -185,7 +166,7 @@ class TestConsistencyProbe:
         assert header == "video_id,rank,log_prob,dtw_distance"
 
     def test_deterministic(self):
-        ds = tiny_dataset(6, seed=6)
+        ds = tiny_dataset(seed=6, count=6)
         ls, han = tiny_model(ds, seed=6)
         r1 = consistency_probe(ls, han, ds, k=3, sample_count=4, seed=9)
         r2 = consistency_probe(ls, han, ds, k=3, sample_count=4, seed=9)
@@ -193,7 +174,7 @@ class TestConsistencyProbe:
         assert r1.mean_correlation == r2.mean_correlation
 
     def test_distances_match_relevance_loss(self):
-        ds = tiny_dataset(8, seed=7)
+        ds = tiny_dataset(seed=7, count=8)
         ls, han = tiny_model(ds, seed=7)
         report = consistency_probe(ls, han, ds, k=4, sample_count=8, seed=3)
         assert report.videos
@@ -212,7 +193,7 @@ class TestConsistencyProbe:
         monkeypatch.setattr(ev.ls_mod, "dtw_batch", lambda pairs: [
             ev.ls_mod.DtwTable(np.array([[d]]), np.array([[d]]))
             for d, _ in zip(distances, pairs, strict=True)])
-        ds = tiny_dataset(1)
+        ds = tiny_dataset(count=1)
         ls, han = tiny_model(ds)
         return consistency_probe(ls, han, ds, k=4, sample_count=1)
 
@@ -262,8 +243,8 @@ class TestLambdaSweep:
                                       latent_dim=4, seed=0)
 
     def test_single_value_matches_standalone_run(self):
-        train = tiny_dataset(4, seed=10)
-        val = tiny_dataset(3, seed=11)
+        train = tiny_dataset(seed=10, count=4)
+        val = tiny_dataset(seed=11, count=3)
         cfg = self.sweep_config()
         rows = lambda_sweep(train, val, cfg, [0.4])
         assert len(rows) == 1 and rows[0].lambda1 == 0.4
@@ -275,14 +256,14 @@ class TestLambdaSweep:
                                                      abs=1e-12)
 
     def test_row_order_follows_grid(self):
-        train = tiny_dataset(3, seed=12)
-        val = tiny_dataset(2, seed=13)
+        train = tiny_dataset(seed=12, count=3)
+        val = tiny_dataset(seed=13, count=2)
         rows = lambda_sweep(train, val, self.sweep_config(), [0.0, 0.5, 1.0])
         assert [r.lambda1 for r in rows] == [0.0, 0.5, 1.0]
 
     def test_csv_format(self, tmp_path):
-        train = tiny_dataset(3, seed=14)
-        val = tiny_dataset(2, seed=15)
+        train = tiny_dataset(seed=14, count=3)
+        val = tiny_dataset(seed=15, count=2)
         rows = lambda_sweep(train, val, self.sweep_config(), [0.0, 1.0])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)

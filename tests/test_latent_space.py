@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -14,20 +13,7 @@ from lshan.latent_space import (
     project_sentence, project_video, relevance_grad, relevance_loss,
     window_policy,
 )
-
-
-def brute_force_dtw(dist: np.ndarray, feasible=None) -> float:
-    """Enumerate every monotone one-clip-per-step path and take the minimum."""
-    n, m = dist.shape
-    best = np.inf
-    for increments in itertools.combinations(range(1, n), m - 1):
-        js = np.zeros(n, dtype=int)
-        for inc in increments:
-            js[inc:] += 1
-        if feasible is not None and not all(feasible[i, js[i]] for i in range(n)):
-            continue
-        best = min(best, sum(dist[i, js[i]] for i in range(n)))
-    return best
+from reference import brute_force_dtw
 
 
 def loop_dtw_costs(dist: np.ndarray, feasible=None) -> np.ndarray:

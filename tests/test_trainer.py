@@ -8,12 +8,12 @@ from lshan import han as han_mod
 from lshan.han import Parameters
 from lshan import latent_space as ls_mod
 from lshan import trainer
-from lshan.corpus import (ClipFeatureSequence, Sentence, SyntheticConfig,
-                          generate_synthetic)
+from lshan.corpus import ClipFeatureSequence, Sentence
 from lshan.trainer import (ConfigError, TrainingConfig, clip_gradients,
                            format_config, grad_check, init_state, joint_grad,
                            joint_loss, learning_rate_at, load_config,
                            parse_config, regularizer, sgd_step, train)
+from reference import tiny_dataset
 
 TINY = TrainingConfig(epochs=2, learning_rate=0.05, latent_dim=4,
                       hidden_size=6, attention_size=4, seed=0)
@@ -301,13 +301,6 @@ class TestConfig:
         assert cfg.strategy.kind == "pair-split"
 
 
-def tiny_dataset(seed=0, count=4):
-    return generate_synthetic(
-        SyntheticConfig(vocab_size=6, feature_dim=5,
-                        sentence_length=(2, 3), instance_count=count,
-                        seed=seed))
-
-
 class TestTrain:
     def test_deterministic_bitwise(self):
         ds = tiny_dataset()
@@ -321,7 +314,7 @@ class TestTrain:
         assert [e.total for e in s1.history] == [e.total for e in s2.history]
 
     def test_history_lengths_and_log(self, tmp_path):
-        ds = tiny_dataset(1)
+        ds = tiny_dataset(seed=1)
         cfg = dataclasses.replace(TINY, epochs=3)
         state = train(ds, cfg, out_dir=tmp_path)
         assert len(state.history) == 3
@@ -335,7 +328,7 @@ class TestTrain:
                                                     monkeypatch):
         """An exception inside an epoch, an interrupt say, stops the run; the
         log keeps the epochs before it, and no ``final.lshn`` is written."""
-        ds = tiny_dataset(1)
+        ds = tiny_dataset(seed=1)
         cfg = dataclasses.replace(TINY, epochs=4)
         steps = -(-len(ds) // cfg.batch_size)   # per epoch
         calls = []
@@ -354,7 +347,7 @@ class TestTrain:
         assert not (tmp_path / "final.lshn").exists()
 
     def test_checkpoint_cadence(self, tmp_path):
-        ds = tiny_dataset(2)
+        ds = tiny_dataset(seed=2)
         cfg = dataclasses.replace(TINY, epochs=4, checkpoint_every=2)
         train(ds, cfg, out_dir=tmp_path)
         names = sorted(p.name for p in tmp_path.glob("*.lshn"))
@@ -371,12 +364,12 @@ class TestTrain:
         monkeypatch.setattr(han_mod, "coherence_loss", forbidden)
         monkeypatch.setattr(trainer, "joint_loss", forbidden)
         monkeypatch.setattr(trainer, "_instance_losses", forbidden)
-        state = train(tiny_dataset(4), TINY)
+        state = train(tiny_dataset(seed=4), TINY)
         assert len(state.history) == TINY.epochs
 
     def test_logs_pre_step_losses(self):
         # one batch per epoch: epoch 0 logs the loss at the initial parameters
-        ds = tiny_dataset(5)
+        ds = tiny_dataset(seed=5)
         cfg = dataclasses.replace(TINY, batch_size=len(ds))
         initial = init_state(cfg, ds.instances[0][0].dim, ds.vocabulary.size)
         _, rel, coh, _ = joint_loss(ds.instances, initial.ls, initial.han, cfg)
@@ -388,7 +381,7 @@ class TestTrain:
         assert state.history[-1].regularizer == regularizer(state.han)
 
     def test_loss_decreases_on_tiny_problem(self):
-        ds = tiny_dataset(3, count=3)
+        ds = tiny_dataset(seed=3, count=3)
         cfg = dataclasses.replace(TINY, epochs=12, learning_rate=0.1,
                                   lambda1=0.0, lambda2=0.0)
         state = train(ds, cfg)
@@ -443,7 +436,7 @@ class TestGradientBuffer:
         # a partial last batch, and a clip norm that some steps exceed
         cfg = dataclasses.replace(cfg, epochs=3, learning_rate=0.3,
                                   max_grad_norm=1.0)
-        ds = tiny_dataset(6, count=7)
+        ds = tiny_dataset(seed=6, count=7)
         assert train(ds, cfg).han.flat.tobytes() \
             == fresh_buffer_train(ds, cfg).tobytes()
 
@@ -479,7 +472,7 @@ class TestGradientBuffer:
         for epochs in (2, 4):
             built.clear()
             buffers.clear()
-            train(tiny_dataset(7, count=5),
+            train(tiny_dataset(seed=7, count=5),
                   dataclasses.replace(TINY, epochs=epochs))
             assert len(built) == 2   # the parameters and the gradient
             assert len(buffers) == 2 * epochs   # batches of 4 and 1
