@@ -345,6 +345,12 @@ def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
         raise CorpusError(
             f"{manifest_path}: {len(features)} feature files but "
             f"{len(token_lists)} annotated sentences")
-    instances = tuple((read_features(base / rel), vocab.encode(tokens))
-                      for rel, tokens in zip(features, token_lists))
-    return Dataset(instances, vocab, manifest["split"])
+    instances = []
+    for number, (rel, tokens) in enumerate(zip(features, token_lists), 1):
+        video = read_features(base / rel)
+        try:
+            instances.append((video, vocab.encode(tokens)))
+        except CorpusError as exc:
+            raise CorpusError(f"{annotation_path}: line {number}: {exc}") \
+                from None
+    return Dataset(tuple(instances), vocab, manifest["split"])

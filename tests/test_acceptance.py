@@ -133,7 +133,7 @@ def test_gradient_fidelity():
         "joint": cfg,
     }
     reports = {loss: trainer.grad_check(instances, loss_cfg, eps=1e-5,
-                                        tolerance=1e-4, samples_per_group=8)
+                                        tolerance=1e-4)
                for loss, loss_cfg in configs.items()}
     elapsed = time.perf_counter() - start
     worst = {loss: max(r.max_rel_error.values()) for loss, r in reports.items()}

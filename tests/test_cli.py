@@ -772,8 +772,30 @@ class TestExitCodes:
 
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--instances", "3") == 0
-        out = capsys.readouterr().out
-        assert "max_rel_err" in out and "FAIL" not in out
+        *rows, last = capsys.readouterr().out.splitlines()
+        # one line per array, in name order, whatever the dims
+        names = sorted(name for name, _ in han_mod.param_layout(1, 1, 1, 1, 1))
+        assert [row.split()[0] for row in rows] == names
+        assert all(re.fullmatch(r"\S+ +max_rel_err \S+  ok", row)
+                   for row in rows), rows
+        counts = re.fullmatch(r"checked (\d+) instances, skipped (\d+) "
+                              r"degenerate", last)
+        assert counts and sum(map(int, counts.groups())) == 3, last
+
+    def test_gradcheck_fails_on_a_nan_gradient(self, capsys, monkeypatch):
+        # NaN compares false with the tolerance; it must fail, not pass
+        exact = trainer.joint_grad
+
+        def nan_entry(*args):
+            grads = exact(*args)
+            grads["t_s"][0, 2] = np.nan
+            return grads
+
+        monkeypatch.setattr(trainer, "joint_grad", nan_entry)
+        assert run("gradcheck", "--instances", "1") == 3
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        assert [row for row in rows if row.endswith("FAIL")] == \
+            ["t_s              max_rel_err nan  FAIL"]
 
     def test_gradcheck_with_no_checked_instance_fails(self, capsys,
                                                       monkeypatch):

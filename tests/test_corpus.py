@@ -103,12 +103,19 @@ class TestFileFormats:
             assert sa == sb
 
     def test_load_rejects_reserved_token(self, tmp_path):
+        # a reserved or unknown token names its annotation file and line
         write_features(tmp_path / "v.lshf", np.zeros((3, 2)))
-        (tmp_path / "ann.txt").write_text("a #End\n")
         (tmp_path / "manifest.json").write_text(
-            '{"features": ["v.lshf"], "annotations": "ann.txt", "split": "train"}')
-        with pytest.raises(CorpusError, match="reserved"):
-            load_dataset(tmp_path / "manifest.json", VOCAB)
+            '{"features": ["v.lshf", "v.lshf"], "annotations": "ann.txt", '
+            '"split": "train"}')
+        for line, message in [
+                ("a #End", "sentence must not contain reserved symbols"),
+                ("#Start b", "sentence must not contain reserved symbols"),
+                ("a zzz", "token 'zzz' not in vocabulary")]:
+            (tmp_path / "ann.txt").write_text(f"a\n{line}\n")
+            with pytest.raises(CorpusError, match="^" + re.escape(
+                    f"{tmp_path / 'ann.txt'}: line 2: {message}") + "$"):
+                load_dataset(tmp_path / "manifest.json", VOCAB)
 
     def test_load_rejects_short_video(self, tmp_path):
         write_features(tmp_path / "v.lshf", np.zeros((3, 2)))
