@@ -160,8 +160,12 @@ def _cmd_gradcheck(args) -> int:
         noise_std=0.3, sentence_length=(1, 3), instance_count=args.instances,
         seed=int(rng.integers(2 ** 31)))
     dataset = corpus_mod.generate_synthetic(synth)
-    cfg = trainer_mod.TrainingConfig(latent_dim=6, hidden_size=8,
-                                     attention_size=5, seed=args.seed)
+    # these videos have at most 6 clips, so even-7 would give every segment
+    # one clip, whose attention softmax has a zero gradient; pairs give every
+    # video of 2 or more clips a 2-clip segment
+    cfg = trainer_mod.TrainingConfig(
+        latent_dim=6, hidden_size=8, attention_size=5, seed=args.seed,
+        strategy=han_mod.SegmentationStrategy("pair-split"))
     report = trainer_mod.grad_check(dataset.instances, cfg, eps=args.eps,
                                     tolerance=args.tolerance)
     for name in sorted(report.max_rel_error):

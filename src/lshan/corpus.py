@@ -275,7 +275,10 @@ def read_features(path: Path | str) -> ClipFeatureSequence:
     # checked before the cast, which warns on a signaling NaN
     if not np.all(np.isfinite(clips)):
         raise CorpusError(f"{path}: non-finite feature values")
-    return ClipFeatureSequence(clips.astype(np.float64))
+    try:   # a header that gives 0 clips or dimension 0
+        return ClipFeatureSequence(clips.astype(np.float64))
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def write_vocabulary(path: Path | str, vocab: Vocabulary) -> None:
@@ -289,7 +292,10 @@ def read_vocabulary(path: Path | str) -> Vocabulary:
             raise CorpusError(f"{path}: line {number} " + (
                 "holds whitespace; a line is one token" if word.strip()
                 else "is blank; only trailing lines may be"))
-    return Vocabulary(tuple(words))
+    try:   # reserved words first, no word twice
+        return Vocabulary(tuple(words))
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, out_dir: Path | str) -> Path:
@@ -353,4 +359,7 @@ def load_dataset(manifest_path: Path | str, vocab: Vocabulary) -> Dataset:
         except CorpusError as exc:
             raise CorpusError(f"{annotation_path}: line {number}: {exc}") \
                 from None
-    return Dataset(tuple(instances), vocab, manifest["split"])
+    try:   # an unknown split, or a video with fewer clips than words
+        return Dataset(tuple(instances), vocab, manifest["split"])
+    except CorpusError as exc:
+        raise CorpusError(f"{manifest_path}: {exc}") from None

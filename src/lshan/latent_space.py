@@ -173,7 +173,13 @@ def dtw_batch(pairs) -> list[DtwTable]:
             flat[:, 1:], flat[:, :-1], flat[1:, 1:], flat_steps[1:, 1:]):
         np.minimum(above, above_left, out=row)
         row += step
-    if not all(np.isfinite(t.total) for t in tables):
+    for table in tables:
+        if np.isfinite(table.total):
+            continue
+        # window_policy's bands always admit a path, so with them only a
+        # distance that overflowed (or is NaN) leaves the total non-finite
+        if not np.isfinite(table.dist).all():
+            raise AlignmentError("a latent distance is not finite")
         raise AlignmentError("feasible region admits no monotone path")
     return tables
 

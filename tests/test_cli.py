@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from lshan import cli
 from lshan import evaluation as eval_mod
 from lshan import han as han_mod
 from lshan import trainer
-from lshan.corpus import load_dataset, read_vocabulary
+from lshan.corpus import load_dataset, read_vocabulary, write_features
 
 
 def run(*argv):
@@ -467,6 +469,14 @@ class TestExitCodes:
          "whitespace; a line is one token"),
         ("train_vocabulary_leading_space", 2, "{data}/vocab.txt: line 6 "
          "holds whitespace; a line is one token"),
+        ("train_vocabulary_duplicate", 2, "{data}/vocab.txt: vocabulary "
+         "contains duplicate tokens"),
+        ("train_vocabulary_unreserved", 2, "{data}/vocab.txt: vocabulary "
+         "must begin with '#Start', '#End'"),
+        ("train_feature_no_clips", 2, "{data}/features/train_0001.lshf: clip "
+         "matrix must be 2-D and non-empty, got shape (0, 5)"),
+        ("train_feature_one_clip", 2, "{data}/manifest_train.json: instance "
+         "1: 1 clips < "),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, monkeypatch,
                                        case, code, message):
@@ -540,10 +550,17 @@ class TestExitCodes:
         elif case == "annotations_form_feed":   # one line, not two
             manifest["features"] = manifest["features"][:1] * 3
             (data / manifest["annotations"]).write_text("a\x0cb\nc\n")
+        elif case == "train_vocabulary_unreserved":
+            path = data / "vocab.txt"
+            path.write_text(path.read_text().replace("#Start", "w99"))
+        elif case.startswith("train_feature_"):   # one video of the corpus
+            clips = 1 if case == "train_feature_one_clip" else 0
+            write_features(data / "features" / "train_0001.lshf",
+                           np.zeros((clips, 5)))
         elif case.startswith("train_vocabulary_"):   # line 6 is "w03"
             line = {"blank_line": "\nw03", "inner_space": "w 03",
-                    "leading_space": " w03"}[case.removeprefix(
-                        "train_vocabulary_")]
+                    "leading_space": " w03", "duplicate": "w02"}[
+                        case.removeprefix("train_vocabulary_")]
             path = data / "vocab.txt"
             path.write_text(path.read_text().replace("w03", line))
         elif case.startswith("train_manifest_"):   # text json.loads refuses
@@ -607,6 +624,10 @@ class TestExitCodes:
                      "learning rate within 400 epochs", id="decay-overflow"),
         pytest.param(["gradcheck", "--instances", "0"], 1, "--instances must "
                      "be >= 1, got 0", id="instances-0"),
+        # a shift of 1e200 overflows the squared latent distances
+        pytest.param(["gradcheck", "--eps", "1e200", "--instances", "2"], 3,
+                     "numeric failure: a latent distance is not finite",
+                     id="eps-1e200"),
         *[pytest.param(["probe", "--samples", v], 1, "sample_count must be "
                        f">= 1, got {v}", id=f"samples-{v}") for v in ("0", "-1")],
         pytest.param(["probe", "--k", "1"], 1, "probe needs k >= 2",
@@ -782,6 +803,22 @@ class TestExitCodes:
                               r"degenerate", last)
         assert counts and sum(map(int, counts.groups())) == 3, last
 
+    def test_gradcheck_reaches_every_array(self, capsys, monkeypatch):
+        # without the ridge term, each array's gradient must be non-zero on
+        # some checked instance, so no array passes as 0 against 0
+        exact = trainer.joint_grad
+        moved = set()
+
+        def recording(batch, ls, han, cfg):
+            grads = exact(batch, ls, han, dataclasses.replace(cfg, lambda2=0.0))
+            moved.update(name for name, arr in grads.items() if arr.any())
+            return exact(batch, ls, han, cfg)
+
+        monkeypatch.setattr(trainer, "joint_grad", recording)
+        assert run("gradcheck") == 0
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        assert sorted(moved) == [row.split()[0] for row in rows]
+
     def test_gradcheck_fails_on_a_nan_gradient(self, capsys, monkeypatch):
         # NaN compares false with the tolerance; it must fail, not pass
         exact = trainer.joint_grad
@@ -827,3 +864,17 @@ def test_import_leaves_scipy_unloaded():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", PROBE_WITHOUT_SCIPY],
                           env=env, timeout=120).returncode == 0
+
+
+def test_readme_commands_parse():
+    # every `lshan …` line of README's code blocks is a command line the
+    # parser accepts, so a removed or renamed flag cannot linger there
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(line, comments=True) for block in blocks
+                for line in block.splitlines() if line.split()[:1] == ["lshan"]]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -21,6 +21,7 @@ from lshan.han import (
     segment_clips,
 )
 from lshan.latent_space import project_video
+from lshan.trainer import TrainingConfig, grad_check
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "standard.lshn"
 
@@ -901,34 +902,14 @@ class TestCoherenceGrad:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_finite_differences(self, seed):
-        ls, han = tiny_model(seed + 30)
-        video, sentence = tiny_instance(seed + 30, n=5, m=2)
-        strategy = even(3)
-        (value,), grads = coherence_grad(han, ls, [(video, sentence)],
-                                         strategy, Parameters(han.layout))
-        eps = 1e-5
-
-        def loss():
-            return coherence_loss(han, ls, video, sentence, strategy)
-
-        assert value == loss()
-        rng = np.random.default_rng(seed)
-        for name, arr in han.items():
-            grad = grads[name]
-            flat, gflat = arr.reshape(-1), grad.reshape(-1)
-            # spot-check a subset of entries per group to keep runtime sane
-            idxs = rng.choice(flat.size, size=min(6, flat.size), replace=False)
-            for idx in idxs:
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                up = loss()
-                flat[idx] = orig - eps
-                down = loss()
-                flat[idx] = orig
-                numeric = (up - down) / (2 * eps)
-                denom = max(abs(gflat[idx]), abs(numeric), 1e-4)
-                assert abs(gflat[idx] - numeric) / denom <= 1e-4, \
-                    f"{name}[{idx}]: analytic {gflat[idx]} vs numeric {numeric}"
+        # even-3 splits the 5 clips 2, 2, 1, so the clip-attention pool's
+        # softmax has a gradient; grad_check differences every entry
+        cfg = TrainingConfig(lambda1=0.0, lambda2=0.0, latent_dim=3,
+                             hidden_size=2, attention_size=2, seed=seed + 30,
+                             strategy=even(3))
+        report = grad_check([tiny_instance(seed + 30, n=5, m=2)], cfg)
+        assert report.checked_instances == 1
+        assert report.failed == [], report.max_rel_error
 
 
 class TestParameterLayout:

@@ -2,11 +2,13 @@
 
 On each damaged input below, ``read_features``, ``load_dataset`` and
 ``read_vocabulary`` either load or raise ``CorpusError`` (``lshan`` exit 2),
-and ``load_checkpoint`` either loads or raises ``ValueError`` (exit 1). The
+and ``load_checkpoint`` either loads or raises ``ValueError`` (exit 1). A
+refusal names the file it refused: the damaged file, or the manifest or a
+file it lists, since a corpus holds many files of each kind. The
 damage: truncation, bit flips and appended bytes of a valid feature file and
-checkpoint, their header fields set to edge values, manifests with a key
-missing or of another JSON type, text that is not JSON, and random
-vocabulary text.
+checkpoint, their header fields set to edge values with or without the
+values that follow, manifests with a key missing or of another JSON type,
+text that is not JSON, and random vocabulary text.
 """
 
 import json
@@ -67,14 +69,20 @@ def fmt(request, tmp_path_factory):
     return make(tmp_path_factory), path, read, error, offsets
 
 
+def assert_names_a_file(exc, paths):
+    """``exc``'s message names one of ``paths``, followed by ': '."""
+    assert any(f"{path}: " in str(exc) for path in paths), str(exc)
+
+
 def load(fmt, data: bytes):
     """The reader's result on ``data``, or None where it refused it with its
-    documented error; any other exception fails the test."""
+    documented error naming the file; any other exception fails the test."""
     _, path, read, error, _ = fmt
     path.write_bytes(data)
     try:
         return read(path)
-    except error:
+    except error as exc:
+        assert_names_a_file(exc, [path])
         return None
 
 
@@ -112,6 +120,8 @@ class TestBinaryFiles:
                                            min_size=1))
         for offset, value in fields.items():
             damaged[offset:offset + 4] = struct.pack("<I", value)
+        if data.draw(st.booleans()):   # the length a zero dimension describes
+            del damaged[max(fmt[4]) + 4:]
         load(fmt, bytes(damaged))
 
 
@@ -125,36 +135,48 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
-def load_manifest(root, text: bytes):
+def load_manifest(root, manifest):
+    """``load_dataset`` of ``manifest``, the file's bytes or a dict written as
+    JSON, or None where it refused it naming the manifest or a file the dict
+    lists."""
+    text = manifest if isinstance(manifest, bytes) else \
+        json.dumps(manifest).encode()
     (root / "manifest.json").write_bytes(text)
     try:
         return load_dataset(root / "manifest.json", VOCAB)
-    except CorpusError:
+    except CorpusError as exc:
+        listed = []
+        if isinstance(manifest, dict):
+            features = manifest.get("features")
+            listed = [manifest.get("annotations"),
+                      *(features if isinstance(features, list) else [])]
+        assert_names_a_file(exc, [root / "manifest.json"] + [
+            root / rel for rel in listed if isinstance(rel, str)])
         return None
 
 
 class TestManifests:
     def test_valid_manifest_loads(self, corpus_dir):
-        loaded = load_manifest(corpus_dir, json.dumps(MANIFEST).encode())
+        loaded = load_manifest(corpus_dir, MANIFEST)
         assert [s.tokens for _, s in loaded.instances] == [(2,), (3, 2)]
 
     @pytest.mark.parametrize("key", sorted(MANIFEST))
     def test_a_missing_key_is_refused(self, corpus_dir, key):
         manifest = {k: v for k, v in MANIFEST.items() if k != key}
-        assert load_manifest(corpus_dir, json.dumps(manifest).encode()) is None
+        assert load_manifest(corpus_dir, manifest) is None
 
     @FUZZ
     @given(key=st.sampled_from(sorted(MANIFEST)), value=JSON_VALUES)
     def test_a_key_of_another_type(self, corpus_dir, key, value):
         manifest = dict(MANIFEST, **{key: value})
-        loaded = load_manifest(corpus_dir, json.dumps(manifest).encode())
+        loaded = load_manifest(corpus_dir, manifest)
         assert loaded is None or value == MANIFEST[key]
 
     @FUZZ
     @given(value=JSON_VALUES)
     def test_a_path_of_another_type(self, corpus_dir, value):
         manifest = dict(MANIFEST, features=["0.lshf", value])
-        load_manifest(corpus_dir, json.dumps(manifest).encode())
+        load_manifest(corpus_dir, manifest)
 
     @FUZZ
     @given(text=st.binary(max_size=64) | JSON_VALUES.map(
@@ -176,7 +198,8 @@ class TestVocabularyText:
         path.write_text(text, encoding="utf-8", newline="")
         try:
             vocab = read_vocabulary(path)
-        except CorpusError:
+        except CorpusError as exc:
+            assert_names_a_file(exc, [path])
             return
         assert vocab.words == tuple(text_lines(text))
         assert all(word.split() == [word] for word in vocab.words)
