@@ -36,7 +36,7 @@ VALID_SPLITS = ("train", "validation", "test")
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpora, files, or out-of-range indices."""
+    """Raised for malformed corpora or files."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,6 @@ class Sentence:
     tokens: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.tokens) < 1:
-            raise CorpusError("sentence must contain at least one word")
         if any(t in (START_INDEX, END_INDEX) for t in self.tokens):
             raise CorpusError("sentence must not contain reserved symbols")
 
@@ -97,6 +95,7 @@ class ClipFeatureSequence:
         clips = np.asarray(self.clips, dtype=np.float64)
         if clips.ndim != 2 or clips.shape[0] < 1 or clips.shape[1] < 1:
             raise CorpusError(f"clip matrix must be 2-D and non-empty, got shape {clips.shape}")
+        # generate_synthetic's float32 cast overflows at a large noise
         if not np.all(np.isfinite(clips)):
             raise CorpusError("clip features contain non-finite values")
         object.__setattr__(self, "clips", clips)
@@ -135,8 +134,6 @@ class Dataset:
                 raise CorpusError(
                     f"instance {idx}: {video.n} clips < {sentence.length} words "
                     "(alignment requires at least one clip per word)")
-            if any(t >= self.vocabulary.size for t in sentence.tokens):
-                raise CorpusError(f"instance {idx}: token index out of vocabulary")
 
     def __len__(self) -> int:
         return len(self.instances)

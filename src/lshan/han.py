@@ -41,8 +41,6 @@ class SegmentationStrategy:
     k: int = 7
 
     def __post_init__(self):
-        if self.kind not in ("two-split", "pair-split", "even"):
-            raise ValueError(f"unknown segmentation strategy {self.kind!r}")
         if self.kind == "even" and not 1 <= self.k < 2 ** 32:   # a u32 on disk
             raise ValueError("even-k needs 1 <= k < 2**32")
 
@@ -76,8 +74,6 @@ def segment_clips(n: int, strategy: SegmentationStrategy
     partition into ``k = min(K, n)`` parts, the first ``n mod k`` of them one
     clip longer, where K is 2 for two-split, ``ceil(n/2)`` for pair-split and
     ``strategy.k`` for even-k."""
-    if n < 1:
-        raise ValueError("need at least one clip")
     parts = {"two-split": 2, "pair-split": math.ceil(n / 2)}
     k = min(parts.get(strategy.kind, strategy.k), n)
     base, rem = divmod(n, k)
@@ -499,10 +495,6 @@ def kbest_decode(han: Parameters, ls: LatentSpaceParams,
     state; a beam of k >= 2 steps an (L, q) stack of its L live states, from
     its first step, where L = 1, to its last.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     enc = encode_video(han, [video], strategy)
     w, _, b = han.group("decoder")
     word_zx = ls.t_s.T @ w.T + b   # the decoder's input GEMM, word by word

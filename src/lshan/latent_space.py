@@ -97,19 +97,12 @@ class AlignmentPath:
 
 
 def project_video(t_v: np.ndarray, video: ClipFeatureSequence) -> np.ndarray:
-    if video.dim != t_v.shape[1]:
-        raise ValueError(
-            f"feature dim {video.dim} does not match projection {t_v.shape}")
     return video.clips @ t_v.T
 
 
 def project_sentence(t_s: np.ndarray, sentence: Sentence) -> np.ndarray:
-    tokens = np.asarray(sentence.tokens)
-    if tokens.max() >= t_s.shape[1]:
-        raise ValueError(
-            f"word index {tokens.max()} does not fit projection {t_s.shape}")
     # one-hot inputs select columns of t_s
-    return t_s[:, tokens].T
+    return t_s[:, np.asarray(sentence.tokens)].T
 
 
 @functools.lru_cache(maxsize=BAND_CACHE_SIZE)
@@ -117,8 +110,6 @@ def window_policy(n: int, m: int) -> WindowPolicy:
     """Per-word feasible clip ranges from evenly assigned overlapping windows;
     built once per ``(n, m)``, and the same policy is returned while the
     shape stays among the ``BAND_CACHE_SIZE`` most recently used."""
-    if not n >= m >= 1:
-        raise AlignmentError(f"need n >= m >= 1, got n={n}, m={m}")
     if m == 1:
         return WindowPolicy((0,), (n - 1,))
     length = math.ceil(n / 2)
@@ -160,10 +151,6 @@ def dtw_batch(pairs) -> list[DtwTable]:
     tables = []
     for b, (dist, policy) in enumerate(pairs):
         n, m = dist.shape
-        if n < 1 or m < 1:
-            raise AlignmentError("empty sequence")
-        if m > n:
-            raise AlignmentError(f"no feasible path for n={n} < m={m}")
         np.copyto(steps[:n, b, 1:m + 1], dist, where=True if policy is None
                   else policy.mask)
         costs[0, b, 1] = dist[0, 0]
@@ -176,8 +163,9 @@ def dtw_batch(pairs) -> list[DtwTable]:
     for table in tables:
         if np.isfinite(table.total):
             continue
-        # window_policy's bands always admit a path, so with them only a
-        # distance that overflowed (or is NaN) leaves the total non-finite
+        # for n >= m the full table and window_policy's bands admit a path,
+        # so only a distance that overflowed (or is NaN) leaves the total
+        # non-finite; more words than clips, or a hand-built band, admit none
         if not np.isfinite(table.dist).all():
             raise AlignmentError("a latent distance is not finite")
         raise AlignmentError("feasible region admits no monotone path")
@@ -188,8 +176,6 @@ def backtrack(table: DtwTable) -> AlignmentPath:
     """Argmin path of the accumulated-cost table; ties prefer the diagonal."""
     costs = table.costs
     n, m = costs.shape
-    if not np.isfinite(costs[n - 1, m - 1]):
-        raise AlignmentError("cannot backtrack an infeasible table")
     # diagonal[i][j - 1]: whether the path into (i + 1, j) comes from (i, j - 1)
     diagonal = (costs[:-1, :-1] <= costs[:-1, 1:]).tolist()
     words = [0] * n

@@ -193,8 +193,6 @@ def joint_grad(batch, ls: LatentSpaceParams, han: Parameters,
     ``grads.losses`` holds the batch's summed per-instance losses
     ``(relevance, coherence)`` from the same passes; a skipped term sums to 0.
     """
-    if not batch:
-        raise ValueError("empty batch")
     grads = Parameters(han.layout) if out is None else out
     grads.flat.fill(0.0)
     scale = 1.0 / len(batch)
@@ -255,8 +253,6 @@ def train(dataset: Dataset, cfg: TrainingConfig,
     An epoch's ``rel_loss``/``coh_loss`` average each instance's loss from the
     pass that made its gradient, before its batch's step; ``reg`` is taken at
     the end of the epoch, and ``total`` weighs the three as the objective."""
-    if len(dataset) == 0:
-        raise ValueError("training split is empty")
     d_c = dataset.instances[0][0].dim
     state = init_state(cfg, d_c, dataset.vocabulary.size)
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -358,8 +354,6 @@ def grad_check(instances, cfg: TrainingConfig, eps: float = 1e-5,
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     instances = list(instances)
-    if not instances:
-        raise ValueError("no instances to check")
     d_w = max(max(s.tokens) for _, s in instances) + 1   # the words seen
     state = init_state(cfg, instances[0][0].dim, d_w)
     ls, han = state.ls, state.han

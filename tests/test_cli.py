@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import filecmp
+import io
 import json
 import math
 import os
@@ -477,6 +479,20 @@ class TestExitCodes:
          "matrix must be 2-D and non-empty, got shape (0, 5)"),
         ("train_feature_one_clip", 2, "{data}/manifest_train.json: instance "
          "1: 1 clips < "),
+        ("train_feature_bad_magic", 2, "data error: {data}/features/"
+         "train_0001.lshf: not a feature file (bad magic)\n"),
+        ("train_feature_version_2", 2, "data error: {data}/features/"
+         "train_0001.lshf: unsupported feature file version 2\n"),
+        ("train_feature_truncated", 2, "data error: {data}/features/"
+         "train_0001.lshf: expected 216 bytes, found 212\n"),
+        ("train_feature_nan", 2, "data error: {data}/features/"
+         "train_0001.lshf: non-finite feature values\n"),
+        ("train_manifest_a_list", 2, "data error: {data}/manifest_train.json: "
+         "manifest is not a JSON object\n"),
+        ("train_manifest_without_annotations", 2, "data error: "
+         "{data}/manifest_train.json: manifest lacks key 'annotations'\n"),
+        ("model_version_2", 1, "usage error: {model}: unsupported checkpoint "
+         "version 2\n"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, monkeypatch,
                                        case, code, message):
@@ -515,6 +531,10 @@ class TestExitCodes:
             model.write_bytes(self.checkpoint_bytes(tmp_path, d_w))
         elif case == "model_other_feature_dim":
             model.write_bytes(self.checkpoint_bytes(tmp_path, d_c=16))
+        elif case == "model_version_2":
+            raw = bytearray(model.read_bytes())
+            raw[4:8] = struct.pack("<I", 2)
+            model.write_bytes(bytes(raw))
         elif case == "model_zero_dimension":
             han_mod.save_checkpoint(model, han_mod.Parameters(
                 han_mod.param_layout(4, 5, 8, 0, 0)), han_mod.DEFAULT_STRATEGY)
@@ -553,19 +573,38 @@ class TestExitCodes:
         elif case == "train_vocabulary_unreserved":
             path = data / "vocab.txt"
             path.write_text(path.read_text().replace("#Start", "w99"))
-        elif case.startswith("train_feature_"):   # one video of the corpus
+        elif case in ("train_feature_no_clips", "train_feature_one_clip"):
             clips = 1 if case == "train_feature_one_clip" else 0
             write_features(data / "features" / "train_0001.lshf",
                            np.zeros((clips, 5)))
+        elif case.startswith("train_feature_"):   # 10 clips of dim 5
+            path = data / "features" / "train_0001.lshf"
+            raw = bytearray(path.read_bytes())
+            if case.endswith("_bad_magic"):
+                raw[:4] = b"LSHX"
+            elif case.endswith("_version_2"):
+                raw[4:8] = struct.pack("<I", 2)
+            elif case.endswith("_nan"):
+                raw[-4:] = struct.pack("<f", np.nan)
+            else:   # the last value cut off
+                del raw[-4:]
+            path.write_bytes(bytes(raw))
         elif case.startswith("train_vocabulary_"):   # line 6 is "w03"
             line = {"blank_line": "\nw03", "inner_space": "w 03",
                     "leading_space": " w03", "duplicate": "w02"}[
                         case.removeprefix("train_vocabulary_")]
             path = data / "vocab.txt"
             path.write_text(path.read_text().replace("w03", line))
-        elif case.startswith("train_manifest_"):   # text json.loads refuses
-            (data / "manifest_train.json").write_text(
-                "[" * 100_000 if case.endswith("_nested") else "9" * 5000)
+        elif case.startswith("train_manifest_"):
+            path = data / "manifest_train.json"
+            keys = json.loads(path.read_text())
+            del keys["annotations"]
+            path.write_text({
+                "deeply_nested": "[" * 100_000,   # text json.loads refuses
+                "5000_digit_integer": "9" * 5000,
+                "a_list": "[]",
+                "without_annotations": json.dumps(keys),
+            }[case.removeprefix("train_manifest_")])
         elif case.endswith("_empty_split"):   # every split lists no instances
             manifest["features"] = []
             for split in ("train", "validation"):
@@ -590,6 +629,8 @@ class TestExitCodes:
         assert got == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        # a message that ends in a line feed is the whole line
+        assert not message.endswith("\n") or err == message
         assert err.startswith("data error: " if code == 2 else "usage error: ")
         if command == "train" and code == 2:
             assert not out.exists()
@@ -619,6 +660,16 @@ class TestExitCodes:
                        f"{key} must be finite", id=f"{key}-{v}")
           for key in ("lambda2", "learning_rate", "decay_factor",
                       "max_grad_norm") for v in ("nan", "inf")],
+        pytest.param(["train", "epochs = 2\nlambda1 = 2\n"], 2, "data error: "
+                     "lambda1 must lie in [0, 1]\n", id="lambda1-2"),
+        pytest.param(["train", "epochs = 2\nlambda2 = -1\n"], 2, "data error: "
+                     "lambda2 must be >= 0\n", id="lambda2--1"),
+        pytest.param(["train", "epochs = 2\nbogus\n"], 2, "data error: line "
+                     "2: expected 'key = value', got 'bogus'\n",
+                     id="config-no-equals"),
+        pytest.param(["train", "epochs = 2\nepochs = 3\n"], 2, "data error: "
+                     "line 2: duplicate key 'epochs'\n",
+                     id="config-duplicate-key"),
         pytest.param(["train", "decay_factor = 10\ndecay_interval = 1\n"
                       "epochs = 400\n"], 2, "decay_factor 10.0 overflows the "
                      "learning rate within 400 epochs", id="decay-overflow"),
@@ -714,6 +765,8 @@ class TestExitCodes:
         assert run(*argv) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        # a message that ends in a line feed is the whole line
+        assert not message.endswith("\n") or err == message
         assert output is None or not output.exists()
 
     def test_diverged_train_names_its_last_checkpoint(self, tmp_path, capsys,
@@ -791,21 +844,12 @@ class TestExitCodes:
         for row in (rows[1], rows[3]):
             assert all(np.isfinite(float(value)) for value in row.split(","))
 
-    def test_gradcheck_passes(self, capsys):
-        assert run("gradcheck", "--instances", "3") == 0
-        *rows, last = capsys.readouterr().out.splitlines()
-        # one line per array, in name order, whatever the dims
-        names = sorted(name for name, _ in han_mod.param_layout(1, 1, 1, 1, 1))
-        assert [row.split()[0] for row in rows] == names
-        assert all(re.fullmatch(r"\S+ +max_rel_err \S+  ok", row)
-                   for row in rows), rows
-        counts = re.fullmatch(r"checked (\d+) instances, skipped (\d+) "
-                              r"degenerate", last)
-        assert counts and sum(map(int, counts.groups())) == 3, last
-
-    def test_gradcheck_reaches_every_array(self, capsys, monkeypatch):
-        # without the ridge term, each array's gradient must be non-zero on
-        # some checked instance, so no array passes as 0 against 0
+    @pytest.fixture(scope="class")
+    def default_gradcheck(self):
+        """One default ``lshan gradcheck``: its exit code, its stdout, and
+        the arrays whose gradient without the ridge term is non-zero on some
+        checked instance. The recorder returns ``joint_grad``'s own result,
+        so the stdout is a plain run's."""
         exact = trainer.joint_grad
         moved = set()
 
@@ -814,9 +858,32 @@ class TestExitCodes:
             moved.update(name for name, arr in grads.items() if arr.any())
             return exact(batch, ls, han, cfg)
 
-        monkeypatch.setattr(trainer, "joint_grad", recording)
-        assert run("gradcheck") == 0
-        rows = capsys.readouterr().out.splitlines()[:-1]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, \
+                contextlib.redirect_stdout(out):
+            patch.setattr(trainer, "joint_grad", recording)
+            code = run("gradcheck")
+        return code, out.getvalue(), moved
+
+    def test_gradcheck_passes(self, default_gradcheck):
+        code, stdout, _ = default_gradcheck
+        assert code == 0
+        *rows, last = stdout.splitlines()
+        # one line per array, in name order, whatever the dims
+        names = sorted(name for name, _ in han_mod.param_layout(1, 1, 1, 1, 1))
+        assert [row.split()[0] for row in rows] == names
+        assert all(re.fullmatch(r"\S+ +max_rel_err \S+  ok", row)
+                   for row in rows), rows
+        counts = re.fullmatch(r"checked (\d+) instances, skipped (\d+) "
+                              r"degenerate", last)
+        assert counts and sum(map(int, counts.groups())) == 5, last
+
+    def test_gradcheck_reaches_every_array(self, default_gradcheck):
+        # without the ridge term, each array's gradient must be non-zero on
+        # some checked instance, so no array passes as 0 against 0
+        code, stdout, moved = default_gradcheck
+        assert code == 0
+        rows = stdout.splitlines()[:-1]
         assert sorted(moved) == [row.split()[0] for row in rows]
 
     def test_gradcheck_fails_on_a_nan_gradient(self, capsys, monkeypatch):

@@ -14,10 +14,6 @@ VOCAB = Vocabulary(("#Start", "#End", "a", "b", "c", "d", "e"))
 
 
 class TestTypes:
-    def test_sentence_requires_word(self):
-        with pytest.raises(CorpusError):
-            Sentence(())
-
     def test_sentence_rejects_reserved(self):
         with pytest.raises(CorpusError):
             Sentence((0, 2))

@@ -237,10 +237,6 @@ class TestProjections:
         np.testing.assert_allclose(project_sentence(t_s, sentence),
                                    one_hots @ t_s.T, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            project_video(np.zeros((2, 3)), ClipFeatureSequence(np.zeros((4, 5))))
-
 
 class TestPairDistance:
     """The clip-to-word distance, as a one-clip, one-word DTW table holds it."""
@@ -364,17 +360,14 @@ class TestDtw:
                            band(video, sentence, windowed))
                 assert table.costs.tobytes() == want.costs.tobytes()
                 assert table.dist.tobytes() == want.dist.tobytes()
-            with pytest.raises(ValueError, match="^word index 7 does not fit"):
-                align_batch(params, batch + [(long, Sentence((2, 7)))],
-                            windowed)
 
     def test_batch_rejects_an_infeasible_pair(self, monkeypatch):
         rng = np.random.default_rng(21)
         v, s = random_latents(rng, 6, 3, 2)
         cases = [
+            # 2 clips cannot take 3 words one clip per step
             (random_latents(rng, 2, 3, 2), None,
-             "no feasible path for n=2 < m=3"),
-            ((np.zeros((0, 2)), np.zeros((1, 2))), None, "empty sequence"),
+             "feasible region admits no monotone path"),
             # word 1 may only take clip 0, so no path reaches (3, 1)
             (random_latents(rng, 4, 2, 2), WindowPolicy((0, 0), (3, 0)),
              "feasible region admits no monotone path"),
@@ -389,8 +382,6 @@ class TestDtw:
                            (dist, window_policy(6, 3))]):
                 with pytest.raises(AlignmentError, match=f"^{message}$"):
                     dtw_batch(pairs)
-            if message == "empty sequence":
-                continue  # the corpus types refuse empty videos and sentences
             params = LatentSpaceParams(np.eye(2), rng.normal(size=(2, 5)))
             batch = [(ClipFeatureSequence(v), Sentence((2, 3, 4))),
                      (ClipFeatureSequence(bad_v),
